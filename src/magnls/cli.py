@@ -44,14 +44,6 @@ from .solver import (
 __all__ = ["main", "run"]
 
 
-def worker_count() -> int:
-    """Worker cap from MAGNLS_THREADS (defaults to 1; results never depend on it)."""
-    try:
-        return max(1, int(os.environ.get("MAGNLS_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _parse_point(text: str, dim: int) -> np.ndarray:
     parts = [float(v) for v in text.split(",")]
     if len(parts) != dim:
@@ -248,9 +240,7 @@ def _run_landscape(args) -> int:
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
     gs = radial_ground_state(args.dim, args.p, args.lam)
-    land = landscape_eval(
-        A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step, threads=worker_count()
-    )
+    land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
     mio.surface_to_csv(land.y_points, land.t_max, land.values, os.path.join(out, "surface.csv"))
     doc = {
         "max": land.max_value,
@@ -274,9 +264,7 @@ def _run_solve(args) -> int:
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
     gs = radial_ground_state(args.dim, args.p, args.lam)
-    land = landscape_eval(
-        A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step, threads=worker_count()
-    )
+    land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
     seed = landscape_seed(land, gs, A, grid)
     tol = args.tol if args.tol is not None else 1e-6
     res = critical_point_search(A, params, seed, tol=tol, max_iters=args.max_iters, gs=gs)

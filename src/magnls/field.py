@@ -100,6 +100,22 @@ def _normalize_window(window, dim: int):
     return tuple(out)
 
 
+def _sample_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """Centered difference of samples, one-sided second-order at the boundary."""
+    d = np.empty_like(vals)
+    sl = [slice(None)] * vals.ndim
+
+    def take(i):
+        s = list(sl)
+        s[axis] = i
+        return tuple(s)
+
+    d[take(slice(1, -1))] = (vals[take(slice(2, None))] - vals[take(slice(0, -2))]) / (2 * h)
+    d[take(0)] = (-3 * vals[take(0)] + 4 * vals[take(1)] - vals[take(2)]) / (2 * h)
+    d[take(-1)] = (3 * vals[take(-1)] - 4 * vals[take(-2)] + vals[take(-3)]) / (2 * h)
+    return d
+
+
 def _fd_jacobian(A: PotentialField, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Second-order jacobian of A on a tensor grid of points.
 
@@ -108,22 +124,9 @@ def _fd_jacobian(A: PotentialField, pts: np.ndarray, h: np.ndarray) -> np.ndarra
     """
     vals = A(pts)  # (*shape, dim)
     dim = A.dim
-    shape = vals.shape[:-1]
-    jac = np.empty(shape + (dim, dim))
+    jac = np.empty(vals.shape[:-1] + (dim, dim))
     for n in range(dim):  # derivative direction
-        hn = h[n]
-        d = np.empty_like(vals)
-        sl = [slice(None)] * len(shape)
-
-        def take(i):
-            s = list(sl)
-            s[n] = i
-            return tuple(s)
-
-        d[take(slice(1, -1))] = (vals[take(slice(2, None))] - vals[take(slice(0, -2))]) / (2 * hn)
-        d[take(0)] = (-3 * vals[take(0)] + 4 * vals[take(1)] - vals[take(2)]) / (2 * hn)
-        d[take(-1)] = (3 * vals[take(-1)] - 4 * vals[take(-2)] + vals[take(-3)]) / (2 * hn)
-        jac[..., :, n] = d
+        jac[..., :, n] = _sample_derivative(vals, n, h[n])
     return jac
 
 
@@ -158,22 +161,6 @@ def b_sup_norm(B: TwoForm) -> float:
     if not B.sup_norms:
         return 0.0
     return float(np.sqrt(sum(v * v for v in B.sup_norms.values())))
-
-
-def _sample_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference of samples, one-sided second-order at the boundary."""
-    d = np.empty_like(vals)
-    sl = [slice(None)] * vals.ndim
-
-    def take(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    d[take(slice(1, -1))] = (vals[take(slice(2, None))] - vals[take(slice(0, -2))]) / (2 * h)
-    d[take(0)] = (-3 * vals[take(0)] + 4 * vals[take(1)] - vals[take(2)]) / (2 * h)
-    d[take(-1)] = (3 * vals[take(-1)] - 4 * vals[take(-2)] + vals[take(-3)]) / (2 * h)
-    return d
 
 
 def curl_of_samples(samples: np.ndarray, h) -> dict:

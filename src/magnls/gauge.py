@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import ComplexField, Grid, RealField, bump
-from .field import PotentialField, TwoForm, b_sup_norm
+from .field import PotentialField, TwoForm, _sample_derivative, b_sup_norm
 
 __all__ = [
     "GaugePhase",
@@ -243,22 +243,7 @@ def _phase_gradient(phase: GaugePhase) -> np.ndarray:
     """Centered-difference gradient of the sampled phase, one-sided at the boundary."""
     grid = phase.samples.grid
     vals = phase.samples.values
-    out = np.empty((grid.dim,) + grid.shape)
-    for axis in range(grid.dim):
-        h = grid.h[axis]
-        d = np.empty_like(vals)
-        sl = [slice(None)] * grid.dim
-
-        def take(i):
-            s = list(sl)
-            s[axis] = i
-            return tuple(s)
-
-        d[take(slice(1, -1))] = (vals[take(slice(2, None))] - vals[take(slice(0, -2))]) / (2 * h)
-        d[take(0)] = (-3 * vals[take(0)] + 4 * vals[take(1)] - vals[take(2)]) / (2 * h)
-        d[take(-1)] = (3 * vals[take(-1)] - 4 * vals[take(-2)] + vals[take(-3)]) / (2 * h)
-        out[axis] = d
-    return out
+    return np.stack([_sample_derivative(vals, axis, grid.h[axis]) for axis in range(grid.dim)])
 
 
 def corrected_potential(

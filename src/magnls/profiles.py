@@ -23,8 +23,8 @@ from .calculus import (
     energy_EA,
     lp_norm,
 )
-from .field import PotentialField, parse_field_spec
-from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert
+from .field import PotentialField, field_library, parse_field_spec
+from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert, shifted_corrected_samples
 
 __all__ = [
     "Discretization",
@@ -203,6 +203,8 @@ def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int, quad_tol: float
     out of the window before step K.
     """
     A = spec.field
+    if A is None:
+        A = field_library("zero", dim=grid.dim)
     dim = grid.dim
     truth = {"profiles": [], "trajectories": []}
     base_fields = []
@@ -232,18 +234,8 @@ def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int, quad_tol: float
     for k in range(K):
         vals = np.zeros(grid.shape, dtype=complex)
         for pr, v, traj in zip(spec.profiles, base_fields, truth["trajectories"]):
-            y = traj[k]
-            if np.all(y == 0.0):
-                vals += v.values
-            else:
-                g = make_shift(A, y, grid, quad_tol=quad_tol, max_loss=1e-6) if A is not None else None
-                if g is None:
-                    steps = grid.is_lattice_vector(y)
-                    from .gauge import _shift_values
-
-                    vals += _shift_values(v.values, steps)
-                else:
-                    vals += shift_apply(g, v).values
+            g = make_shift(A, traj[k], grid, quad_tol=quad_tol, max_loss=1e-6)
+            vals += shift_apply(g, v).values
         if spec.noise_amplitude > 0:
             eps = spec.noise_amplitude * spec.noise_decay**k
             noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
@@ -333,7 +325,8 @@ def extract_profiles(
     mass with the lattice scan, inverts the magnetic shift along that
     trajectory, tail-averages, windows the result, and subtracts its shifted
     copies from every remainder.  Stops when the tail's local mass drops
-    below eps_mass or the trajectory fails to diverge.
+    below eps_mass or the trajectory fails to diverge.  ``A=None`` means the
+    zero field, under which every shift is a plain translation.
     """
     opts = opts or ExtractOpts()
     K = len(seq)
@@ -341,6 +334,8 @@ def extract_profiles(
         raise ValueError(f"need at least {2 * opts.tail_window} steps, got {K}")
     grid = seq[0].grid
     dim = grid.dim
+    if A is None:
+        A = field_library("zero", dim=dim)
     warnings_list = []
     pts = grid.nodes()
     wmask = np.sum(pts**2, axis=-1) <= opts.window_radius**2
@@ -396,17 +391,8 @@ def _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask):
 
         inverted = []
         for k in range(K - opts.tail_window, K):
-            y = traj[k]
-            if A is not None:
-                g = make_shift(A, y, grid, quad_tol=opts.quad_tol, max_loss=0.9)
-                inverted.append(shift_invert(g, remainders[k]))
-            else:
-                from .gauge import _shift_values
-
-                steps = grid.is_lattice_vector(y)
-                inverted.append(
-                    ComplexField(grid, _shift_values(remainders[k].values, tuple(-s for s in steps)))
-                )
+            g = make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
+            inverted.append(shift_invert(g, remainders[k]))
         agree = _half_tail_agreement(inverted, grid, wmask)
         v = _tail_average(inverted, grid, wmask)
         conv = agree <= opts.agree_tol
@@ -417,33 +403,23 @@ def _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask):
 
         a_inf = None
         a_conv = None
-        if A is not None:
-            tail_traj = [traj[k] for k in range(K - opts.tail_window, K)]
-            norms = [float(np.linalg.norm(y)) for y in tail_traj]
-            if all(b > a for a, b in zip(norms[:-1], norms[1:])):
-                # convergence is judged on the bounded profile window; the
-                # samples used for energies live on the full grid (the profile
-                # vanishes outside its window, so the far values are inert)
-                n_probe = min(33, min(grid.n))
-                if n_probe % 2 == 0:
-                    n_probe -= 1
-                probe = Grid(opts.window_radius, n_probe, dim=grid.dim)
-                _, rep = potential_at_infinity(A, tail_traj, probe, quad_tol=opts.quad_tol)
-                a_conv = rep["converged"]
-                from .gauge import shifted_corrected_samples
-
-                a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
+        tail_traj = [traj[k] for k in range(K - opts.tail_window, K)]
+        norms = [float(np.linalg.norm(y)) for y in tail_traj]
+        if all(b > a for a, b in zip(norms[:-1], norms[1:])):
+            # convergence is judged on the bounded profile window; the
+            # samples used for energies live on the full grid (the profile
+            # vanishes outside its window, so the far values are inert)
+            n_probe = min(33, min(grid.n))
+            if n_probe % 2 == 0:
+                n_probe -= 1
+            probe = Grid(opts.window_radius, n_probe, dim=grid.dim)
+            _, rep = potential_at_infinity(A, tail_traj, probe, quad_tol=opts.quad_tol)
+            a_conv = rep["converged"]
+            a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
 
         for k in range(K):
-            y = traj[k]
-            if A is not None:
-                g = make_shift(A, y, grid, quad_tol=opts.quad_tol, max_loss=0.9)
-                shifted = shift_apply(g, v)
-            else:
-                from .gauge import _shift_values
-
-                steps = grid.is_lattice_vector(y)
-                shifted = ComplexField(grid, _shift_values(v.values, steps))
+            g = make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
+            shifted = shift_apply(g, v)
             remainders[k] = ComplexField(grid, remainders[k].values - shifted.values)
 
         terms.append(
@@ -486,10 +462,12 @@ def verify_decomposition(
     The |u|^p masses of the terms must add up to the sequence's tail mass;
     the L^2 masses and the energies (each term measured against its own
     potential at infinity) may only fall short, never exceed.  Pairwise
-    trajectory separations must grow.
+    trajectory separations must grow.  ``A=None`` means the zero field.
     """
     K = len(seq)
     grid = seq[0].grid
+    if A is None:
+        A = field_library("zero", dim=grid.dim)
     p = params.p
     uK = seq[-1]
     mass_seq = lp_norm(uK, p) ** p
@@ -503,11 +481,11 @@ def verify_decomposition(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryMassWarning)
         zero = np.zeros((grid.dim,) + grid.shape)
-        e_tail = min(energy_EA(u, A if A is not None else zero) for u in seq[K // 2:])
+        e_tail = min(energy_EA(u, A) for u in seq[K // 2:])
         e_terms = 0.0
         for t in dec.terms:
             if t.index == 0:
-                e_terms += energy_EA(t.profile, A if A is not None else zero)
+                e_terms += energy_EA(t.profile, A)
             else:
                 e_terms += energy_EA(t.profile, t.a_inf if t.a_inf is not None else zero)
     energy_slack = e_tail - e_terms

@@ -31,7 +31,7 @@ from .calculus import (
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import make_shift, potential_at_infinity, shift_apply
+from .gauge import MassLossError, QuadratureError, make_shift, potential_at_infinity, shift_apply
 
 __all__ = [
     "GroundState",
@@ -499,7 +499,6 @@ def condition_report(
         rhs = sigma_max * (2.0 * p / (p - 2.0)) * gs.c_inf
         holds_Bprime = bool(lhs <= rhs)
         # V must dominate its own boundary limit lam
-        boundary = params.V.boundary_mass_fraction  # noqa: F841  (kept queryable)
         holds_V = bool(np.min(params.V.values) >= params.lam - 1e-12)
 
     lam0 = None
@@ -581,7 +580,6 @@ def landscape_eval(
     eta_tol: float = 1e-3,
     seed_tie_tol: float = 1e-2,
     quad_tol: float = 1e-10,
-    threads: int = 1,
 ) -> LandscapeResult:
     """Evaluate the pass functional over shifted-and-scaled ground states.
 
@@ -604,36 +602,22 @@ def landscape_eval(
     t_max = np.empty(len(y_points))
     values = np.empty(len(y_points))
     etas = np.empty((len(y_points), grid.dim + 1))
-    def eval_point(i):
-        y = y_points[i]
-        if np.all(y == 0.0):
-            gu = w
-        else:
-            g = make_shift(A, y, grid, quad_tol=quad_tol, max_loss=0.5)
-            gu = shift_apply(g, w)
-        J = functional_J(gu, prep, params)
-        M = lp_norm(gu, p) ** p
-        tbar = (J / M) ** (1.0 / (p - 2.0))
-        if tbar > T:
-            raise RayRisingError(
-                f"ray through y={y.tolist()} still rising at t = T = {T} "
-                f"(peak at t = {tbar:.3f}); increase T"
-            )
-        t_max[i] = tbar
-        values[i] = (0.5 - 1.0 / p) * (J / M ** (2.0 / p)) ** (p / (p - 2.0))
-        etas[i] = eta_map(gu, params)
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryMassWarning)
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            eval_point(0)  # warm the grid caches before sharing across workers
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(eval_point, range(1, len(y_points))))
-        else:
-            for i in range(len(y_points)):
-                eval_point(i)
+        for i, y in enumerate(y_points):
+            gu = shift_apply(make_shift(A, y, grid, quad_tol=quad_tol, max_loss=0.5), w)
+            J = functional_J(gu, prep, params)
+            M = lp_norm(gu, p) ** p
+            tbar = (J / M) ** (1.0 / (p - 2.0))
+            if tbar > T:
+                raise RayRisingError(
+                    f"ray through y={y.tolist()} still rising at t = T = {T} "
+                    f"(peak at t = {tbar:.3f}); increase T"
+                )
+            t_max[i] = tbar
+            values[i] = (0.5 - 1.0 / p) * (J / M ** (2.0 / p)) ** (p / (p - 2.0))
+            etas[i] = eta_map(gu, params)
+        del gu  # freed before the 129^dim curl below, which sets peak memory in 3-D
 
     imax = int(np.argmax(values))
     cmax = float(values[imax])
@@ -695,11 +679,8 @@ def landscape_seed(
     quad_tol: float = 1e-10,
 ) -> ComplexField:
     """Scaled shifted profile t g_y w at the landscape's seed point."""
-    y = land.seed_point
-    w = gs.on_grid(grid)
-    if not np.all(y == 0.0):
-        g = make_shift(A, y, grid, quad_tol=quad_tol, max_loss=0.5)
-        w = shift_apply(g, w)
+    g = make_shift(A, land.seed_point, grid, quad_tol=quad_tol, max_loss=0.5)
+    w = shift_apply(g, gs.on_grid(grid))
     return ComplexField(grid, land.t_max[land.seed_index] * w.values)
 
 
@@ -798,7 +779,7 @@ def _residual_operator(u_vals, Avals, Vvals, p, grid):
 
 
 def critical_point_search(
-    A,
+    A: PotentialField,
     params: FunctionalParams,
     seed: ComplexField,
     tol: float = 1e-8,
@@ -811,8 +792,11 @@ def critical_point_search(
     Each step solves the symmetric (indefinite) linearized system with MINRES
     and backtracks on ||residual||^2; falls back to the steepest-descent
     direction whenever the model step fails to decrease the residual.  Stops
-    at the residual tolerance or reports stagnation with the trace.
+    at the residual tolerance or reports stagnation with the trace.  A must
+    be a PotentialField, since recentering shifts the iterate by g_y.
     """
+    if not isinstance(A, PotentialField):
+        raise ValueError(f"critical_point_search needs a PotentialField, got {type(A).__name__}")
     grid = seed.grid
     Avals = prepare_potential(A, grid)
     Vvals = _v_samples(params, grid)
@@ -863,14 +847,9 @@ def critical_point_search(
             return None
         z = steps * np.array(grid.h)
         try:
-            if isinstance(A, PotentialField):
-                g = make_shift(A, -z, grid, max_loss=0.5)
-                cand = shift_apply(g, ComplexField(grid, u_vals)).values
-            else:
-                from .gauge import _shift_values
-
-                cand = _shift_values(u_vals, tuple(-int(s) for s in steps))
-        except Exception:
+            g = make_shift(A, -z, grid, max_loss=0.5)
+            cand = shift_apply(g, ComplexField(grid, u_vals)).values
+        except (MassLossError, QuadratureError):
             return None
         c_vals, c_norm = residual(cand)
         if c_norm < 0.995 * cur_norm:

@@ -144,14 +144,3 @@ def test_numerical_failure_exits_2_with_diagnostic(tmp_path):
     doc = read_json(out / "diagnostic.json")
     assert "increase T" in doc["failure"]
     assert os.path.exists(out / "manifest.json")
-
-
-def test_worker_count_env(monkeypatch):
-    from magnls.cli import worker_count
-
-    monkeypatch.delenv("MAGNLS_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("MAGNLS_THREADS", "4")
-    assert worker_count() == 4
-    monkeypatch.setenv("MAGNLS_THREADS", "junk")
-    assert worker_count() == 1

@@ -193,15 +193,19 @@ def test_extract_plain_translation_reduction(planted):
     # with A = 0 the machinery is plain translation; the gauge normalization
     # convention cannot matter because every phase is identically zero
     seq, truth = planted
-    spec = planted_spec(field=None)
-    seq0, truth0 = synthesize_sequence(spec, WIDE, K=8)
+    seq0, truth0 = synthesize_sequence(planted_spec(field=None), WIDE, K=8)
+    seq_zero, _ = synthesize_sequence(planted_spec(field=field_library("zero")), WIDE, K=8)
+    for u, v in zip(seq0, seq_zero):
+        assert np.array_equal(u.values, v.values)
     xi = Discretization.cubic(WIDE, rho=1.0)
     opts = ExtractOpts(eps_mass=1e-3, tail_window=4, window_radius=5.0)
     dec = extract_profiles(seq0, None, xi, opts)
     dec_zero_field = extract_profiles(seq0, field_library("zero"), xi, opts)
     assert dec.success and dec_zero_field.success
+    assert len(dec.terms) == len(dec_zero_field.terms)
     for a, b in zip(dec.terms, dec_zero_field.terms):
         assert np.max(np.abs(a.profile.values - b.profile.values)) <= 1e-9
+        assert a.a_inf_converged == b.a_inf_converged
 
 
 def test_modulus_level_consistency(planted, extracted, gaussian_field):

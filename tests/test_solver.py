@@ -9,6 +9,7 @@ from magnls.calculus import (
     functional_I,
     functional_J,
     lp_norm,
+    prepare_potential,
 )
 from magnls.field import field_library
 from magnls.solver import (
@@ -314,14 +315,6 @@ def test_landscape_T_too_small_errors(gs2):
         landscape_eval(field_library("zero"), gs2, PARAMS2, grid, R=1.0, T=0.5, y_step=1.0)
 
 
-def test_landscape_threaded_matches_serial(gs2):
-    grid = Grid(8.0, 65, dim=2)
-    A = field_library("gaussian_decay", b0=0.4, s=1.0)
-    a = landscape_eval(A, gs2, PARAMS2, grid, R=1.0, T=3.0, y_step=0.5, threads=1)
-    b = landscape_eval(A, gs2, PARAMS2, grid, R=1.0, T=3.0, y_step=0.5, threads=4)
-    assert np.array_equal(a.values, b.values)
-
-
 def test_two_bump_diagnostic(gs2):
     grid = Grid(10.0, 81, dim=2)
     diag = two_bump_diagnostic(field_library("zero"), gs2, PARAMS2, grid, R=4.0, n_mix=3)
@@ -366,6 +359,14 @@ def test_search_landau_bracket(gs2):
     assert res.residual_norm < 1e-4
     assert gs2.c_inf < res.level < 2.0 * gs2.c_inf
     assert res.bracket["inside"]
+
+
+def test_search_rejects_prepared_potential():
+    # recentering shifts the iterate by g_y, which needs the field itself
+    grid = Grid(8.0, 65, dim=2)
+    A = field_library("landau", b=0.5)
+    with pytest.raises(ValueError, match="PotentialField"):
+        critical_point_search(prepare_potential(A, grid), PARAMS2, bump(grid), tol=1e-8)
 
 
 def test_search_reports_stall_without_exception():
