@@ -84,33 +84,43 @@ def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 40):
     return _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, max_depth)
 
 
-def _cumulative_from(f, start: float, values: np.ndarray, tol: float) -> np.ndarray:
-    """F(v) = int_start^v f(t) dt for every v in the (ascending) value array."""
+def _cumulative_from(f, start: float, values: np.ndarray, tol: float, axis: int) -> np.ndarray:
+    """F(v) = int_start^v f(t) dt for every v in the (ascending) value array.
+
+    ``f`` returns arrays with a singleton at ``axis``; the integrals are
+    concatenated along it.
+    """
     out = []
     acc = _adaptive_simpson(f, start, float(values[0]), tol)
     out.append(acc)
     for lo, hi in zip(values[:-1], values[1:]):
         acc = acc + _adaptive_simpson(f, float(lo), float(hi), tol)
         out.append(acc)
-    return np.stack([np.asarray(o, dtype=float) for o in out], axis=0)
+    return np.concatenate([np.asarray(o, dtype=float) for o in out], axis=axis)
 
 
-def _staircase_points(y, m: int, t: float, tail_axes):
-    """Evaluation points (y_1..y_{m-1}, t, tail mesh) as an (..., N) array."""
-    dim = len(y)
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        shape = mesh[0].shape
-    else:
-        mesh = []
-        shape = ()
-    pts = np.empty(shape + (dim,))
-    for j in range(m - 1):
-        pts[..., j] = y[j]
-    pts[..., m - 1] = t
-    for j, g in enumerate(mesh):
-        pts[..., m + j] = g
-    return pts
+def _mesh_points(axes) -> np.ndarray:
+    """Tensor mesh of ``axes`` as a (*shape, N) point array; a singleton axis pins its coordinate."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def _line_integrals(integrand, head, axis_values, tail, start: float, tol: float) -> np.ndarray:
+    """Cumulative integrals int_start^v integrand(head, t, tail) dt for v in ``axis_values``.
+
+    The integration axis is m = len(head) + 1.  ``head`` holds axes 1..m-1:
+    singletons [y_j] pin the staircase coordinates, full axes span a table.
+    ``tail`` holds axes m+1..N.  The mesh is built once; each evaluation only
+    rewrites the t column, so ``integrand`` must return a fresh array.  The
+    result has shape (*head, len(axis_values), *tail).
+    """
+    m = len(head) + 1
+    pts = _mesh_points([*head, np.zeros(1), *tail])
+
+    def f(t):
+        pts[..., m - 1] = t
+        return integrand(pts)
+
+    return _cumulative_from(f, start, np.asarray(axis_values), tol, axis=m - 1)
 
 
 def _staircase_sum(component_eval, y, axes, quad_tol: float) -> np.ndarray:
@@ -122,14 +132,11 @@ def _staircase_sum(component_eval, y, axes, quad_tol: float) -> np.ndarray:
     dim = len(axes)
     shape = tuple(len(ax) for ax in axes)
     total = np.zeros(shape)
+    head = [np.array([yi]) for yi in y]
     for m in range(1, dim + 1):
-        tail_axes = axes[m:]
-
-        def f(t, m=m, tail_axes=tail_axes):
-            return component_eval(m, _staircase_points(y, m, t, tail_axes))
-
-        cum = _cumulative_from(f, float(y[m - 1]), np.asarray(axes[m - 1]), quad_tol)
-        total += cum.reshape((1,) * (m - 1) + cum.shape)
+        total += _line_integrals(
+            lambda pts, m=m: component_eval(m, pts), head[: m - 1], axes[m - 1], axes[m:], float(y[m - 1]), quad_tol
+        )
     return total
 
 
@@ -154,6 +161,45 @@ def _phase_values(A: PotentialField, y: np.ndarray, axes, quad_tol: float) -> np
     return -_staircase_sum(comp, y, axes, quad_tol)
 
 
+def _phase_tables(A: PotentialField, grid: Grid, quad_tol: float) -> list:
+    """Per-axis cumulative integrals C_m(x) = int_{x_m^min}^{x_m} A_m(.., t, ..) dt on the grid.
+
+    Cached on the grid per (field, tolerance).  The cached value holds A, so
+    its id cannot be reused while the entry lives; a build that raises
+    caches nothing.
+    """
+
+    def build():
+        axes = grid.axes
+        tables = [
+            _line_integrals(
+                lambda pts, m=m: A(pts)[..., m - 1], axes[: m - 1], axes[m - 1], axes[m:], float(axes[m - 1][0]), quad_tol
+            )
+            for m in range(1, grid.dim + 1)
+        ]
+        return A, tables
+
+    return grid._cached(("phase_tables", id(A), quad_tol), build)[1]
+
+
+def _table_phase(tables: list, index) -> np.ndarray:
+    """phi_y at the node ``index`` of y: -sum_m [C_m(y_<m, x_m, x_>m) - C_m(y_<=m, x_>m)]."""
+    total = np.zeros(tables[0].shape)
+    for m, C in enumerate(tables, start=1):
+        T = C[tuple(index[: m - 1])]
+        total += (T - T[index[m - 1]]).reshape((1,) * (m - 1) + T.shape)
+    return -total
+
+
+def _window_index(grid: Grid, y: np.ndarray):
+    """Node index of a lattice vector y inside the window, else None."""
+    steps = grid.is_lattice_vector(y)
+    if steps is None:
+        return None
+    index = tuple(k + (n - 1) // 2 for k, n in zip(steps, grid.n))
+    return index if all(0 <= j < n for j, n in zip(index, grid.n)) else None
+
+
 def rephase_field(
     A: PotentialField,
     y,
@@ -167,6 +213,13 @@ def rephase_field(
     convention under which the shift composition law carries a clean
     antisymmetric constant).  For y = 0 the phase is identically zero and
     the shift below reduces to the identity.
+
+    A lattice y whose node lies inside the window takes its phase from the
+    per-axis tables of ``_phase_tables``, built once per (A, grid, quad_tol)
+    and kept on the grid.  A table build integrates along every grid line,
+    not only the staircase through y, so a field that defeats the quadrature
+    on some other line raises ``QuadratureError`` here too.  Any other y
+    integrates its own staircase.
     """
     if normalization not in ("at_base", "at_half"):
         raise ValueError(f"unknown normalization '{normalization}'")
@@ -176,7 +229,11 @@ def rephase_field(
     if np.all(y == 0.0):
         vals = np.zeros(grid.shape)
     else:
-        vals = _phase_values(A, y, grid.axes, quad_tol)
+        index = _window_index(grid, y)
+        if index is None:
+            vals = _phase_values(A, y, grid.axes, quad_tol)
+        else:
+            vals = _table_phase(_phase_tables(A, grid, quad_tol), index)
         if normalization == "at_half":
             half = _phase_values(A, y, [np.array([yi / 2.0]) for yi in y], quad_tol)
             vals = vals - float(half.reshape(()))
@@ -212,29 +269,22 @@ def corrected_potential_samples(A: PotentialField, y, axes, quad_tol: float = 1e
     y = np.atleast_1d(np.asarray(y, dtype=float))
     dim = A.dim
     shape = tuple(len(ax) for ax in axes)
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    Avals = A(mesh)  # (*shape, dim)
+    Avals = A(_mesh_points(axes))  # (*shape, dim)
+    head = [np.array([yi]) for yi in y]
     out = np.empty((dim,) + shape)
     for n in range(1, dim + 1):
         # A_n with the first n-1 coordinates pinned to y
-        tail_axes = axes[n - 1:]
-        tail_mesh = np.meshgrid(*tail_axes, indexing="ij")
-        pin = np.empty(tail_mesh[0].shape + (dim,))
-        for j in range(n - 1):
-            pin[..., j] = y[j]
-        for j, g in enumerate(tail_mesh):
-            pin[..., n - 1 + j] = g
-        pinned = A(pin)[..., n - 1]
-        comp = Avals[..., n - 1] - pinned.reshape((1,) * (n - 1) + pinned.shape)
+        pinned = A(_mesh_points([*head[: n - 1], *axes[n - 1:]]))[..., n - 1]
+        comp = Avals[..., n - 1] - pinned
         for m in range(1, n):
-            tail_m = axes[m:]
-
-            def f(t, m=m, n=n, tail_m=tail_m):
-                pts = _staircase_points(y, m, t, tail_m)
-                return A.jacobian(pts)[..., m - 1, n - 1]
-
-            cum = _cumulative_from(f, float(y[m - 1]), np.asarray(axes[m - 1]), quad_tol)
-            comp = comp - cum.reshape((1,) * (m - 1) + cum.shape)
+            comp = comp - _line_integrals(
+                lambda pts, m=m, n=n: A.jacobian(pts)[..., m - 1, n - 1],
+                head[: m - 1],
+                axes[m - 1],
+                axes[m:],
+                float(y[m - 1]),
+                quad_tol,
+            )
         out[n - 1] = np.broadcast_to(comp, shape)
     return out
 

@@ -262,7 +262,7 @@ class ProfileTerm:
     index: int
     trajectory: list  # y_k per step; all zeros for the index-0 term
     profile: ComplexField
-    a_inf: Optional[np.ndarray]  # potential-at-infinity samples, None means the ambient A
+    a_inf: Optional[np.ndarray]  # potential-at-infinity samples; None only for the index-0 term
     a_inf_converged: Optional[bool] = None
     tail_agreement: float = 0.0
     converged: bool = True
@@ -401,21 +401,22 @@ def _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask):
                 f"term {n}: half-tail averages differ by {agree:.3e} > {opts.agree_tol:.3e}"
             )
 
-        a_inf = None
         a_conv = None
         tail_traj = [traj[k] for k in range(K - opts.tail_window, K)]
         norms = [float(np.linalg.norm(y)) for y in tail_traj]
         if all(b > a for a, b in zip(norms[:-1], norms[1:])):
-            # convergence is judged on the bounded profile window; the
-            # samples used for energies live on the full grid (the profile
-            # vanishes outside its window, so the far values are inert)
+            # convergence is judged on the bounded profile window and needs
+            # strictly growing radii; a tail that parks for a step is still
+            # measured in the frame of its last center below
             n_probe = min(33, min(grid.n))
             if n_probe % 2 == 0:
                 n_probe -= 1
             probe = Grid(opts.window_radius, n_probe, dim=grid.dim)
             _, rep = potential_at_infinity(A, tail_traj, probe, quad_tol=opts.quad_tol)
             a_conv = rep["converged"]
-            a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
+        # the energy samples live on the full grid (the profile vanishes
+        # outside its window, so the far values are inert)
+        a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
 
         for k in range(K):
             g = make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
@@ -480,14 +481,10 @@ def verify_decomposition(
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryMassWarning)
-        zero = np.zeros((grid.dim,) + grid.shape)
         e_tail = min(energy_EA(u, A) for u in seq[K // 2:])
         e_terms = 0.0
         for t in dec.terms:
-            if t.index == 0:
-                e_terms += energy_EA(t.profile, A)
-            else:
-                e_terms += energy_EA(t.profile, t.a_inf if t.a_inf is not None else zero)
+            e_terms += energy_EA(t.profile, A if t.index == 0 else t.a_inf)
     energy_slack = e_tail - e_terms
 
     separations = {}

@@ -451,7 +451,8 @@ def condition_report(
 
     sigma = ||B||_inf^2 int |x|^2 w^2 / ||w||_p^p; the field condition holds
     iff (1 + sigma)^{p/(p-2)} < 2, equivalently sigma < 2^{(p-2)/p} - 1, and
-    both formulations are evaluated and must agree.  Vanishing at infinity is
+    both formulations are evaluated and must agree; rounding can split them at
+    the threshold, which raises ``RuntimeError``.  Vanishing at infinity is
     evidenced by the corrected potential along diverging probe trajectories.
     """
     if gs.p != params.p or gs.lam != params.lam:
@@ -469,7 +470,10 @@ def condition_report(
     holds_sigma = sigma < sigma_max
     holds_bthresh = bsup < threshold_B
     if holds_sigma != holds_bthresh:
-        raise AssertionError("the two formulations of the smallness condition disagree")
+        raise RuntimeError(
+            f"the two formulations of the smallness condition disagree: sigma {sigma!r} vs {sigma_max!r}, "
+            f"||B||_inf {bsup!r} vs {threshold_B!r}"
+        )
 
     probe_grid = grid if grid is not None else Grid(2.0, 9, dim=A.dim)
     R0 = probe_radius if probe_radius is not None else 6.0 * gs.decay_length

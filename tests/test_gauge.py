@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from magnls.calculus import Grid, bump, energy_EA, prepare_potential
-from magnls.field import curl, curl_of_samples, field_library
+from magnls.field import PotentialField, curl, curl_of_samples, field_library
 from magnls.gauge import (
     MassLossError,
+    QuadratureError,
+    _phase_values,
     composition_constant,
     corrected_potential,
     corrected_potential_samples,
@@ -73,6 +75,79 @@ def test_phase_slab_derivative_relations():
     pts = np.stack([np.full_like(grid.axes[1], y[0]), grid.axes[1]], axis=-1)
     expected = -A(pts)[:, 1]
     assert np.max(np.abs(d2[2:-2] - expected[2:-2])) <= 1e-3  # O(h^2)
+
+
+# ---------------------------------------------------------------------------
+# Phase tables
+# ---------------------------------------------------------------------------
+
+TABLE_FIELDS = {
+    "landau": dict(tag="landau", b=0.5),
+    "symmetric": dict(tag="symmetric", b=0.5),
+    "gaussian": dict(tag="gaussian_decay", b0=0.4, s=1.0),
+    "periodic": dict(tag="lattice_periodic", b=0.5, period=4.0),
+}
+# Simpson is exact on these integrands, so tables and staircases differ only
+# by the summation order of the 128-segment sums (up to 3.6e-15 observed)
+EXACT_TOL = 1e-14
+
+
+@pytest.mark.parametrize(
+    "name, grid, steps",
+    [
+        (name, GRID, [(1, 0), (0, -1), (10, 7), (-64, 64), (64, -23), (-37, -64)])
+        for name in TABLE_FIELDS
+    ]
+    + [
+        (name, Grid(6.0, 65, dim=3), [(1, 0, 0), (0, -1, 1), (32, -32, 5), (-7, 19, -32), (3, 3, 32)])
+        for name in ("landau", "gaussian")
+    ],
+)
+def test_table_phase_matches_staircase(name, grid, steps):
+    spec = dict(TABLE_FIELDS[name])
+    A = field_library(spec.pop("tag"), dim=grid.dim, **spec)
+    tol = EXACT_TOL if name != "gaussian" else 1e-9
+    for k in steps:
+        y = np.array(k) * np.array(grid.h)
+        direct = _phase_values(A, y, grid.axes, 1e-10)
+        tabled = rephase_field(A, y, grid).samples.values
+        assert np.max(np.abs(tabled - direct)) <= tol, (name, k)
+    assert ("phase_tables", id(A), 1e-10) in grid._cache
+
+
+def test_phase_outside_window_keeps_staircase():
+    A = field_library("gaussian_decay", b0=0.4, s=1.0)
+    g = Grid(2.0, 17, dim=2)
+    for y in [(3.0, 0.25), (0.5, -2.25), (0.3, 0.1)]:  # beyond the window, or off the lattice
+        ph = rephase_field(A, y, g)
+        assert np.array_equal(ph.samples.values, _phase_values(A, np.array(y), g.axes, 1e-10))
+    assert not any(key[0] == "phase_tables" for key in getattr(g, "_cache", {}))
+
+
+def test_tables_built_once_per_field_and_grid():
+    g = Grid(4.0, 33, dim=2)
+    gauss = field_library("gaussian_decay", b0=0.4, s=1.0)
+    calls = []
+
+    def ev(p):
+        calls.append(p.shape)
+        return gauss.eval_fn(p)
+
+    A = PotentialField(2, ev, gauss.jac_fn)
+    make_shift(A, (1.0, 0.5), g)
+    built = len(calls)
+    assert built > 0
+    g2 = make_shift(A, (-0.75, 2.0), g)
+    assert len(calls) == built
+    # a different tolerance is a different table
+    make_shift(A, (1.0, 0.5), g, quad_tol=1e-8)
+    assert len(calls) > built
+    # a distinct field on the same grid gets its own tables
+    B = field_library("landau", b=0.5)
+    gB = make_shift(B, (-0.75, 2.0), g)
+    assert np.array_equal(gB.phase.samples.values, rephase_field(B, (-0.75, 2.0), g).samples.values)
+    assert np.max(np.abs(gB.phase.samples.values - _phase_values(B, gB.y, g.axes, 1e-10))) <= EXACT_TOL
+    assert np.max(np.abs(g2.phase.samples.values - _phase_values(A, g2.y, g.axes, 1e-10))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +428,11 @@ def test_composition_antisymmetry():
 
 
 def test_composition_gamma_y_minus_y_zero():
-    A = field_library("landau", b=1.0)
-    rep = composition_constant(A, (1.5, -1.0), (-1.5, 1.0), GRID)
-    assert rep["gamma"] == pytest.approx(0.0, abs=1e-8)
+    for tag in ("landau", "symmetric"):
+        A = field_library(tag, b=1.0)
+        rep = composition_constant(A, (1.5, -1.0), (-1.5, 1.0), GRID)
+        assert rep["gamma"] == pytest.approx(0.0, abs=1e-8)
+        assert abs(rep["gamma_inverse_pair"]) <= 1e-12
 
 
 def test_quadrature_error_carries_worst_segment():
@@ -370,8 +447,10 @@ def test_quadrature_error_carries_worst_segment():
 
     A = PotentialField(2, ev, tag="custom")
     g = Grid(1.0, 9, dim=2)
-    with pytest.raises(QuadratureError, match="segment"):
-        rephase_field(A, (0.5, 0.5), g, quad_tol=1e-14)
+    for _ in range(2):  # a failed table build is not cached, so it fails again
+        with pytest.raises(QuadratureError, match="segment"):
+            rephase_field(A, (0.5, 0.5), g, quad_tol=1e-14)
+        assert not any(key[0] == "phase_tables" for key in getattr(g, "_cache", {}))
 
 
 def test_composition_reports_non_admissible_field():

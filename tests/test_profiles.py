@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from magnls.calculus import ComplexField, FunctionalParams, Grid, bump, lp_norm
+from magnls.calculus import ComplexField, FunctionalParams, Grid, bump, energy_EA, lp_norm
 from magnls.field import field_library
+from magnls.gauge import make_shift, shift_apply, shifted_corrected_samples
 from magnls.profiles import (
     Discretization,
     ExtractOpts,
@@ -178,6 +179,31 @@ def test_extract_idempotent(extracted, gaussian_field):
 def test_extract_a_inf_vanishes_for_decaying_field(extracted):
     moving = [t for t in extracted.terms if t.index > 0]
     assert moving and all(t.a_inf_converged for t in moving)
+
+
+def test_parked_tail_term_measured_in_its_own_gauge():
+    # the bump parks for the last tail step: the radii grow, but not strictly,
+    # so no convergence report is made; the term still carries A_y(. + y) at
+    # its last center and the energy check measures it there, not in A = 0
+    g = Grid((8.0, 4.0), (129, 65))
+    A = field_library("gaussian_decay", b0=0.5, s=4.0)
+    v = bump(g, width=0.4)
+    centers = [np.array([x, 0.0]) for x in (0.0, 1.0, 2.0, 4.0, 5.0, 5.0)]
+    seq = [shift_apply(make_shift(A, y, g), v) for y in centers]
+    opts = ExtractOpts(eps_mass=1e-3, tail_window=3, window_radius=2.0, p=4.0)
+    dec = extract_profiles(seq, A, Discretization.cubic(g, rho=1.0), opts)
+    assert [t.index for t in dec.terms] == [0, 1]
+    term = dec.terms[1]
+    assert np.array_equal(term.trajectory[-1], centers[-1])
+    assert term.a_inf_converged is None
+    assert np.array_equal(term.a_inf, shifted_corrected_samples(A, centers[-1], g, opts.quad_tol))
+
+    rep = verify_decomposition(dec, seq, A, PARAMS)
+    e_tail = min(energy_EA(u, A) for u in seq[3:])
+    e_own = energy_EA(dec.terms[0].profile, A) + energy_EA(term.profile, term.a_inf)
+    e_zero = energy_EA(dec.terms[0].profile, A) + energy_EA(term.profile, np.zeros((2,) + g.shape))
+    assert rep["energy_slack"] == e_tail - e_own
+    assert abs(e_own - e_zero) > 1e-5
 
 
 def test_extract_spreading_only_yields_no_profiles():

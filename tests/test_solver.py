@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -259,6 +261,35 @@ def test_condition_Bprime_and_V(gs2):
         field_library("gaussian_decay", b0=0.2, s=1.0), gs2, FunctionalParams(p=4.0, lam=1.0, V=V2)
     )
     assert not rep2.holds_V
+
+
+def test_condition_disagreement_is_a_numerical_failure(gs2, monkeypatch, tmp_path):
+    from magnls import solver
+    from magnls.cli import run
+
+    # ||B||_inf a few ulps from threshold_B, where sigma < sigma_max and
+    # ||B||_inf < threshold_B round to different answers
+    p = PARAMS2.p
+    M = gs2.normp**p
+    mom2 = solver._second_moment(gs2)
+    sigma_max = 2.0 ** ((p - 2.0) / p) - 1.0
+    threshold = float(np.sqrt(sigma_max * M / mom2))
+    candidates = threshold + np.arange(-8, 9) * np.spacing(threshold)
+    split = [float(b) for b in candidates if (b**2 * mom2 / M < sigma_max) != (b < threshold)]
+    assert split
+    monkeypatch.setattr(solver, "b_sup_norm", lambda B: split[0])
+    with pytest.raises(RuntimeError, match="disagree"):
+        condition_report(field_library("zero"), gs2, PARAMS2)
+
+    out = tmp_path / "c"
+    code = run([
+        "conditions", "--field", "zero", "--dim", "2", "--p", "4", "--lambda", "1",
+        "--L", "8", "--n", "65", "--out", str(out),
+    ])
+    assert code == 2
+    with open(out / "diagnostic.json") as fh:
+        doc = json.load(fh)
+    assert doc["type"] == "RuntimeError" and "disagree" in doc["failure"]
 
 
 def test_condition_report_mismatched_params(gs2):
