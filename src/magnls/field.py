@@ -133,26 +133,32 @@ def _fd_jacobian(A: PotentialField, pts: np.ndarray, h: np.ndarray) -> np.ndarra
 def curl(A: PotentialField, window, resolution: int) -> TwoForm:
     """Sample B_mn = d_n A_m - d_m A_n for all m < n on the window.
 
-    Uses the analytic jacobian when the field has one, otherwise centered
-    finite differences (one-sided at the window boundary).
+    Uses the analytic jacobian when the field has one, evaluated one axis-0
+    slab at a time so no full-window mesh or jacobian is ever held; otherwise
+    centered finite differences (one-sided at the window boundary) on the
+    whole mesh.
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3 to form centered differences, got {resolution}")
     win = _normalize_window(window, A.dim)
     axes = [np.linspace(lo, hi, resolution) for lo, hi in win]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if A.has_jacobian:
-        jac = A.jacobian(mesh)
-    else:
+    pairs = [(m, n) for m in range(1, A.dim + 1) for n in range(m + 1, A.dim + 1)]
+    components = {}  # stays empty in 1-D, where B has no components
+    if pairs and A.has_jacobian:
+        shape = (resolution,) * A.dim
+        components = {mn: np.empty(shape) for mn in pairs}
+        for i in range(resolution):
+            slab = np.stack(np.meshgrid(axes[0][i : i + 1], *axes[1:], indexing="ij"), axis=-1)
+            jac = A.jacobian(slab)
+            for m, n in pairs:
+                components[(m, n)][i : i + 1] = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
+    elif pairs:
+        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         h = np.array([(hi - lo) / (resolution - 1) for lo, hi in win])
         jac = _fd_jacobian(A, mesh, h)
-    components = {}
-    sups = {}
-    for m in range(1, A.dim + 1):
-        for n in range(m + 1, A.dim + 1):
-            b = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
-            components[(m, n)] = b
-            sups[(m, n)] = float(np.max(np.abs(b)))
+        for m, n in pairs:
+            components[(m, n)] = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
+    sups = {mn: float(np.max(np.abs(b))) for mn, b in components.items()}
     return TwoForm(dim=A.dim, window=win, axes=axes, components=components, sup_norms=sups)
 
 

@@ -321,10 +321,13 @@ def extract_profiles(
 
     Step 0 takes the tail average as the stationary term (the computable
     surrogate of the weak limit; accepted only when the two half-tail
-    averages agree).  Each further round locates the remainder's dominant
-    mass with the lattice scan, inverts the magnetic shift along that
-    trajectory, tail-averages, windows the result, and subtracts its shifted
-    copies from every remainder.  Stops when the tail's local mass drops
+    averages agree).  Agreement is not tested when the tail average's
+    windowed |u|^p mass is below eps_mass, where the relative disagreement
+    of a near-zero average is noise; that term, its profile and its measured
+    ``tail_agreement`` are still kept.  Each further round locates the
+    remainder's dominant mass with the lattice scan, inverts the magnetic
+    shift along that trajectory, tail-averages, windows the result, and
+    subtracts its shifted copies from every remainder.  Stops when the tail's local mass drops
     below eps_mass or the trajectory fails to diverge.  ``A=None`` means the
     zero field, under which every shift is a plain translation.
     """
@@ -343,7 +346,8 @@ def extract_profiles(
     tail = seq[K - opts.tail_window:]
     agree0 = _half_tail_agreement(tail, grid, wmask)
     v0 = _tail_average(tail, grid, wmask)
-    conv0 = agree0 <= opts.agree_tol
+    # below the mass that ends extraction there is no stationary part to test
+    conv0 = agree0 <= opts.agree_tol or lp_norm(v0, opts.p) ** opts.p < opts.eps_mass
     if not conv0:
         warnings_list.append(
             f"stationary term: half-tail averages differ by {agree0:.3e} > {opts.agree_tol:.3e}"

@@ -302,13 +302,21 @@ def minimize_constrained(
     stall_tol: float = 1e-6,
     mode: str = "functional",
 ) -> MinimizeResult:
-    """Projected descent for J over the unit L^p sphere.
+    """Sobolev-preconditioned projected descent for J over the unit L^p sphere.
 
-    Each iteration takes a step against the J-gradient (the quadratic part of
-    the Euler-Lagrange residual) and renormalizes in L^p.  Steps use a
-    Barzilai-Borwein guess with monotone backtracking.  ``mode='lambda0'``
-    minimizes the bare magnetic energy over the unit L^2 sphere instead,
-    estimating the bottom of the quadratic form.
+    The J-gradient g (the quadratic part of the Euler-Lagrange residual) is
+    preconditioned by P, the DST inverse of the free Laplacian plus the shift
+    ``max(mean(V), 1e-6)`` (the rule ``critical_point_search`` uses), applied
+    to real and imaginary parts alike.  The direction is P g with the P-image
+    of the constraint normal n = |u|^{p-2} u projected out,
+    ``d = P g - (<P g, n> / <P n, n>) P n``, so ``<d, n> = 0`` and d descends
+    in the P metric (a Sobolev-gradient flow).  Each iteration steps against d
+    and renormalizes in L^p; steps use a Barzilai-Borwein guess with monotone
+    backtracking, capped at half the iterate's norm.  The stop test is on the
+    raw (unpreconditioned) projected gradient: its W-norm must fall below
+    ``stall_tol * max(||g||, 1)``.  ``mode='lambda0'`` minimizes the bare
+    magnetic energy over the unit L^2 sphere instead, estimating the bottom of
+    the quadratic form.
     """
     if mode not in ("functional", "lambda0"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -341,28 +349,36 @@ def minimize_constrained(
     def ip(a, b):
         return float(np.sum(W * np.real(a * np.conj(b))))
 
-    def tangential(vals, g):
-        # project out the constraint normal |u|^{p-2} u; stepping against the
-        # projected gradient keeps the renormalization retraction first-order
-        # neutral, so the search direction is genuinely descent
+    pre = _poisson_solver(grid, max(float(np.mean(Vvals)), 1e-6))
+
+    def precondition(z):
+        return pre(z.real) + 1j * pre(z.imag)
+
+    def directions(vals, g):
+        # project the constraint normal |u|^{p-2} u out of g (the raw residual
+        # the stop test measures) and, in the P metric, out of P g (the step
+        # direction); either keeps the renormalization retraction first-order
+        # neutral, so the step is genuinely descent
         nrm = np.abs(vals) ** (p_norm - 2.0) * vals
-        gn = ip(g, nrm) / max(ip(nrm, nrm), 1e-300)
-        return g - gn * nrm
+        raw = g - ip(g, nrm) / max(ip(nrm, nrm), 1e-300) * nrm
+        pg, pn = precondition(g), precondition(nrm)
+        return raw, pg - ip(pg, nrm) / max(ip(pn, nrm), 1e-300) * pn
 
     val = value_of(u)
     g = grad_of(u)
+    raw, d = directions(u, g)
     trace = [(val, _centroid(ComplexField(grid, u)))]
     alpha = None
     bad_count = 0
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
-        d = tangential(u, g)
-        dnorm = np.sqrt(max(ip(d, d), 1e-300))
+        rnorm = np.sqrt(max(ip(raw, raw), 1e-300))
         gnorm = np.sqrt(max(ip(g, g), 1e-300))
-        if dnorm <= stall_tol * max(gnorm, 1.0):
+        if rnorm <= stall_tol * max(gnorm, 1.0):
             converged = True
             break
+        dnorm = np.sqrt(max(ip(d, d), 1e-300))
         unorm = np.sqrt(max(ip(u, u), 1e-300))
         cap = 0.5 * unorm / dnorm
         a_try = min(alpha, cap) if alpha is not None else min(step, cap)
@@ -385,11 +401,12 @@ def minimize_constrained(
             continue
         bad_count = 0
         g_new = grad_of(cand)
+        raw_new, d_new = directions(cand, g_new)
         s = cand - u
-        yv = tangential(cand, g_new) - d
+        yv = d_new - d
         sy = ip(s, yv)
         alpha = float(np.clip(ip(s, s) / sy, 1e-14, 1e6)) if sy > 0 else a_try * 2.0
-        u, g, val = cand, g_new, cval
+        u, g, val, raw, d = cand, g_new, cval, raw_new, d_new
         trace.append((val, _centroid(ComplexField(grid, u))))
     return MinimizeResult(
         u=ComplexField(grid, u), value=val, trace=trace, iterations=it, converged=converged

@@ -94,6 +94,38 @@ def test_periodic_field_curl_is_lattice_periodic():
     assert np.allclose(vals[k:, :], vals[:-k, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "tag, kw",
+    [
+        ("zero", {}),
+        ("landau", {"b": 0.5}),
+        ("symmetric", {"b": 0.5}),
+        ("gaussian_decay", {"b0": 0.4, "s": 1.3}),
+        ("lattice_periodic", {"b": 0.7, "period": 1.5}),
+    ],
+)
+def test_slabwise_curl_equals_full_mesh_jacobian(tag, kw, dim):
+    # curl evaluates the analytic jacobian one axis-0 slab at a time; the
+    # components and sup norms are elementwise, so they match a full-mesh
+    # evaluation bit for bit
+    A = field_library(tag, dim=dim, **kw)
+    window = ((-3.0, 2.5),) + ((-2.0, 4.0),) * (dim - 1)
+    B = curl(A, window, 33)
+    mesh = np.stack(np.meshgrid(*B.axes, indexing="ij"), axis=-1)
+    jac = A.jacobian(mesh)
+    assert sorted(B.components) == [(m, n) for m in range(1, dim + 1) for n in range(m + 1, dim + 1)]
+    for (m, n), comp in B.components.items():
+        ref = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
+        assert np.array_equal(comp, ref)
+        assert B.sup_norms[(m, n)] == float(np.max(np.abs(ref)))
+
+
+def test_curl_1d_has_no_components():
+    B = curl(field_library("zero", dim=1), 4.0, 33)
+    assert B.components == {} and b_sup_norm(B) == 0.0
+
+
 def test_curl_rejects_small_resolution():
     with pytest.raises(ValueError, match="resolution"):
         curl(field_library("zero"), 4.0, 2)

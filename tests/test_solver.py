@@ -173,6 +173,25 @@ def test_minimize_landau_strictly_above_free(gs2):
     assert mag.value > free.value + 1e-3
 
 
+@pytest.mark.parametrize(
+    "tag, kwargs, mode, max_iters, reference",
+    [
+        # the `magnls conditions` README case; reference from 1332 raw-gradient steps
+        ("gaussian_decay", {"b0": 0.3, "s": 1.0}, "lambda0", 1500, 0.07562770340594425),
+        # the zero-field functional minimum; reference from 229 raw-gradient steps
+        ("zero", {}, "functional", 3000, 4.830220718291926),
+    ],
+)
+def test_minimize_preconditioned_converges_fast(tag, kwargs, mode, max_iters, reference):
+    # the DST-preconditioned (Sobolev) direction reaches the unpreconditioned
+    # minimizer's converged value in a few dozen steps at 129^2
+    grid = Grid(8.0, 129, dim=2)
+    res = minimize_constrained(field_library(tag, **kwargs), PARAMS2, grid, mode=mode, max_iters=max_iters)
+    assert res.converged
+    assert res.iterations <= 60
+    assert abs(res.value - reference) <= 1e-8 * abs(reference)
+
+
 def test_minimize_trace_monotone():
     grid = Grid(8.0, 65, dim=2)
     res = minimize_constrained(field_library("zero"), PARAMS2, grid, max_iters=600)
