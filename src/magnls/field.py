@@ -7,6 +7,7 @@ boxes, and the sup-norm aggregate used by the linear gauge bound.
 """
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -100,19 +101,18 @@ def _normalize_window(window, dim: int):
     return tuple(out)
 
 
+def _along(ndim: int, axis: int, index) -> tuple:
+    """Index tuple for an ndim array: ``index`` (int or slice) on ``axis``, everything elsewhere."""
+    return tuple(index if ax == axis else slice(None) for ax in range(ndim))
+
+
 def _sample_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Centered difference of samples, one-sided second-order at the boundary."""
     d = np.empty_like(vals)
-    sl = [slice(None)] * vals.ndim
-
-    def take(i):
-        s = list(sl)
-        s[axis] = i
-        return tuple(s)
-
-    d[take(slice(1, -1))] = (vals[take(slice(2, None))] - vals[take(slice(0, -2))]) / (2 * h)
-    d[take(0)] = (-3 * vals[take(0)] + 4 * vals[take(1)] - vals[take(2)]) / (2 * h)
-    d[take(-1)] = (3 * vals[take(-1)] - 4 * vals[take(-2)] + vals[take(-3)]) / (2 * h)
+    at = partial(_along, vals.ndim, axis)
+    d[at(slice(1, -1))] = (vals[at(slice(2, None))] - vals[at(slice(0, -2))]) / (2 * h)
+    d[at(0)] = (-3 * vals[at(0)] + 4 * vals[at(1)] - vals[at(2)]) / (2 * h)
+    d[at(-1)] = (3 * vals[at(-1)] - 4 * vals[at(-2)] + vals[at(-3)]) / (2 * h)
     return d
 
 

@@ -71,17 +71,17 @@ def _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float, max_depth: int = 40):
-    """Integral of a (possibly array-valued) integrand from a to b."""
+def _adaptive_simpson(f, a: float, b: float, tol: float):
+    """Integral of a (possibly array-valued) integrand from a to b, at most 40 bisections deep."""
     if a == b:
         return np.zeros_like(np.asarray(f(a), dtype=float))
     if b < a:
-        return -_adaptive_simpson(f, b, a, tol, max_depth)
+        return -_adaptive_simpson(f, b, a, tol)
     fa = np.asarray(f(a), dtype=float)
     fm = np.asarray(f(0.5 * (a + b)), dtype=float)
     fb = np.asarray(f(b), dtype=float)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, 40)
 
 
 def _cumulative_from(f, start: float, values: np.ndarray, tol: float, axis: int) -> np.ndarray:
@@ -296,25 +296,24 @@ def _phase_gradient(phase: GaugePhase) -> np.ndarray:
     return np.stack([_sample_derivative(vals, axis, grid.h[axis]) for axis in range(grid.dim)])
 
 
-def corrected_potential(
-    A: PotentialField,
-    phase: GaugePhase,
-    grid: Grid,
-    construction: str = "auto",
-) -> CorrectedPotential:
-    """Sample A_y on the grid, from the phase gradient or the closed formula."""
-    if construction == "auto":
-        construction = "direct_formula" if A.has_jacobian else "grad_of_phase"
+def corrected_potential(A: PotentialField, phase: GaugePhase, grid: Grid) -> CorrectedPotential:
+    """Sample A_y on the grid.
+
+    A field with an analytic jacobian uses the closed formula
+    (``corrected_potential_samples``, construction ``direct_formula``); any
+    other field adds the centered-difference gradient of the sampled phase
+    (``grad_of_phase``).  ``construction`` on the result records which ran.
+    """
     y = phase.base_point
-    if construction == "direct_formula":
+    if A.has_jacobian:
+        construction = "direct_formula"
         samples = corrected_potential_samples(A, y, grid.axes, phase.quad_tol)
-    elif construction == "grad_of_phase":
+    else:
+        construction = "grad_of_phase"
         if phase.samples.grid.shape != grid.shape:
             raise ValueError("phase sampled on a different grid")
         Avals = np.moveaxis(A(grid.nodes()), -1, 0)
         samples = Avals + _phase_gradient(phase)
-    else:
-        raise ValueError(f"unknown construction '{construction}'")
     return CorrectedPotential(base_point=y, grid=grid, samples=samples, construction=construction)
 
 
@@ -482,12 +481,14 @@ class ShiftedCorrectedField:
 # Potential at infinity and the composition law
 # ---------------------------------------------------------------------------
 
-def potential_at_infinity(A: PotentialField, trajectory, window: Grid, tol: float = 1e-6, quad_tol: float = 1e-10):
+def potential_at_infinity(A: PotentialField, trajectory, window: Grid, quad_tol: float = 1e-10):
     """Follow A_{y_k}(. + y_k) along a diverging trajectory on a fixed window.
 
     Returns the last sample together with a convergence report on the
-    sup-distances between consecutive tail samples.
+    sup-distances between consecutive tail samples; the trajectory counts as
+    converged when the last distance is at most 1e-6.
     """
+    tol = 1e-6
     traj = [np.atleast_1d(np.asarray(y, dtype=float)) for y in trajectory]
     if len(traj) < 2:
         raise ValueError("trajectory needs at least two points")
@@ -505,21 +506,16 @@ def potential_at_infinity(A: PotentialField, trajectory, window: Grid, tol: floa
     return samples[-1], report
 
 
-def composition_constant(
-    A: PotentialField,
-    y1,
-    y2,
-    grid: Grid,
-    quad_tol: float = 1e-10,
-    tol: float = 1e-8,
-) -> dict:
+def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     """Estimate gamma(y1, y2) in phi_{y1+y2} = phi_{y1}(. - y2) + phi_{y2} + gamma.
 
     Under the at-half normalization the constant is well defined for
     lattice-periodic or constant-curl fields; the nodewise spread reports how
-    far the given field is from admissibility.  Also checks gamma(y, -y) = 0
-    and the inverse law by a shift round-trip on a test bump.
+    far the given field is from admissibility (admissible when the spread is
+    at most 1e-8).  Also checks gamma(y, -y) = 0 and the inverse law by a
+    shift round-trip on a test bump.  Phases use the quadrature tolerance 1e-10.
     """
+    tol = 1e-8
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
     y2 = np.atleast_1d(np.asarray(y2, dtype=float))
     steps1 = grid.is_lattice_vector(y1)
@@ -528,7 +524,7 @@ def composition_constant(
         raise ValueError("y1 and y2 must be lattice vectors so shifted phases are sampled exactly")
 
     def phi(y):
-        return rephase_field(A, y, grid, quad_tol=quad_tol, normalization="at_half").samples.values
+        return rephase_field(A, y, grid, normalization="at_half").samples.values
 
     phi12 = phi(y1 + y2)
     phi1 = phi(y1)
@@ -549,8 +545,8 @@ def composition_constant(
 
     # inverse law: g_{-y,-theta} g_{y,theta} is the identity on the overlap
     theta = 0.7
-    g_fwd = make_shift(A, y1, grid, theta=theta, quad_tol=quad_tol, normalization="at_half", max_loss=1.0)
-    g_bwd = make_shift(A, -y1, grid, theta=-theta, quad_tol=quad_tol, normalization="at_half", max_loss=1.0)
+    g_fwd = make_shift(A, y1, grid, theta=theta, normalization="at_half", max_loss=1.0)
+    g_bwd = make_shift(A, -y1, grid, theta=-theta, normalization="at_half", max_loss=1.0)
     probe = bump(grid, width=min(grid.extents) / 6.0)
     roundtrip = shift_apply(g_bwd, shift_apply(g_fwd, probe))
     # nodes that never left the window: gamma + k1 stays in range

@@ -50,22 +50,19 @@ class Discretization:
     points: np.ndarray  # (M, dim)
 
     @classmethod
-    def cubic(cls, grid: Grid, rho: float, rho_cover: Optional[float] = None) -> "Discretization":
+    def cubic(cls, grid: Grid, rho: float) -> "Discretization":
         """Cubic lattice rho Z^dim clipped to the grid window.
 
         rho must be a multiple of the grid spacing so detected centers are
-        valid shift vectors.  The default covering radius rho sqrt(dim)/2 is
-        the smallest that covers space; the covering multiplicity of the
+        valid shift vectors.  The covering radius rho sqrt(dim)/2 (plus 1e-12)
+        is the smallest that covers space; the covering multiplicity of the
         doubled radius stays below 2^dim.
         """
         for h in grid.h:
             k = rho / h
             if abs(k - round(k)) > 1e-9 or round(k) < 1:
                 raise ValueError(f"lattice spacing {rho} is not a positive multiple of grid spacing {h}")
-        if rho_cover is None:
-            rho_cover = rho * float(np.sqrt(grid.dim)) / 2.0 + 1e-12
-        if rho_cover < rho / 2.0:
-            raise ValueError("rho_cover too small to cover the window")
+        rho_cover = rho * float(np.sqrt(grid.dim)) / 2.0 + 1e-12
         ranges = [np.arange(-int(np.floor(L / rho)), int(np.floor(L / rho)) + 1) * rho for L in grid.extents]
         pts = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
         order = np.lexsort(tuple(pts[:, i] for i in range(grid.dim - 1, -1, -1)))
@@ -194,9 +191,12 @@ def _profile_field(spec: ProfileSpec, grid: Grid) -> ComplexField:
     return bump(grid, center=center, width=spec.width, amplitude=spec.amplitude, wave=spec.wave)
 
 
-def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int, quad_tol: float = 1e-10):
+def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int):
     """Build u_0..u_{K-1} as planted profiles under magnetic shifts plus
     decaying noise and an optional spreading (mass-escaping) term.
+
+    The shifts use ``make_shift``'s defaults: quadrature tolerance 1e-10 and
+    an allowed boundary-mass loss of 1e-6.
 
     Returns the fields together with the planted ground truth (profile
     fields, trajectories).  Raises when a trajectory would push a profile
@@ -234,7 +234,7 @@ def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int, quad_tol: float
     for k in range(K):
         vals = np.zeros(grid.shape, dtype=complex)
         for pr, v, traj in zip(spec.profiles, base_fields, truth["trajectories"]):
-            g = make_shift(A, traj[k], grid, quad_tol=quad_tol, max_loss=1e-6)
+            g = make_shift(A, traj[k], grid)
             vals += shift_apply(g, v).values
         if spec.noise_amplitude > 0:
             eps = spec.noise_amplitude * spec.noise_decay**k
@@ -460,15 +460,16 @@ def verify_decomposition(
     seq: list,
     A: Optional[PotentialField],
     params,
-    tol: float = 1e-6,
 ) -> dict:
     """Check the identities a valid decomposition must satisfy.
 
     The |u|^p masses of the terms must add up to the sequence's tail mass;
     the L^2 masses and the energies (each term measured against its own
-    potential at infinity) may only fall short, never exceed.  Pairwise
-    trajectory separations must grow.  ``A=None`` means the zero field.
+    potential at infinity) may only fall short, never exceed, by more than
+    the tolerance 1e-6.  Pairwise trajectory separations must grow.
+    ``A=None`` means the zero field.
     """
+    tol = 1e-6
     K = len(seq)
     grid = seq[0].grid
     if A is None:

@@ -106,12 +106,50 @@ class GroundState:
 
         return f
 
-    def on_grid(self, grid: Grid, center=0.0) -> ComplexField:
-        """Radial profile sampled as a grid field centered at the given point."""
-        pts = grid.nodes()
-        c = np.broadcast_to(np.atleast_1d(np.asarray(center, dtype=float)), (grid.dim,))
-        radii = np.sqrt(np.sum((pts - c) ** 2, axis=-1))
+    def on_grid(self, grid: Grid) -> ComplexField:
+        """Radial profile sampled as a grid field centered at the origin."""
+        radii = np.sqrt(np.sum(grid.nodes() ** 2, axis=-1))
         return ComplexField(grid, self.interpolant()(radii).astype(complex))
+
+
+_R0 = 1e-8  # radius where the series start u(r) = a + c r^2 hands over to the ODE
+
+
+def _shot(a: float, N: int, p: float, lam: float, r_max: float, tol: float, floor: float, t_eval=None):
+    """Integrate the radial ODE -u'' - (N-1)/r u' + lam u = |u|^{p-2} u from u(0) = a.
+
+    The shot starts at r = _R0 from the series u = a + c r^2 and stops at
+    the first of two events: u falls through ``floor`` (event 0) or u' turns
+    positive (event 1, the profile turns back up).
+    """
+    c = (lam * a - a ** (p - 1)) / (2.0 * N)
+
+    def rhs(r, yv):
+        u, du = yv
+        return [du, lam * u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
+
+    def fell(r, yv):
+        return yv[0] - floor
+
+    fell.terminal = True
+    fell.direction = -1.0
+
+    def turned(r, yv):
+        return yv[1]
+
+    turned.terminal = True
+    turned.direction = 1.0
+
+    return solve_ivp(
+        rhs,
+        (_R0, r_max),
+        [a + c * _R0**2, 2.0 * c * _R0],
+        t_eval=t_eval,
+        events=(fell, turned),
+        rtol=tol,
+        atol=tol * 1e-3,
+        max_step=0.1 * r_max,
+    )
 
 
 def _classify_shot(a: float, N: int, p: float, lam: float, r_max: float, rtol: float):
@@ -120,34 +158,7 @@ def _classify_shot(a: float, N: int, p: float, lam: float, r_max: float, rtol: f
     'high' means the profile crossed zero (initial height too large), 'low'
     means it turned back up before reaching zero.
     """
-    r0 = 1e-8
-    c = (lam * a - a ** (p - 1)) / (2.0 * N)
-
-    def rhs(r, yv):
-        u, du = yv
-        return [du, lam * u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
-
-    def crossed(r, yv):
-        return yv[0]
-
-    crossed.terminal = True
-    crossed.direction = -1.0
-
-    def turned(r, yv):
-        return yv[1]
-
-    turned.terminal = True
-    turned.direction = 1.0
-
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        [a + c * r0**2, 2.0 * c * r0],
-        events=(crossed, turned),
-        rtol=rtol,
-        atol=rtol * 1e-3,
-        max_step=0.1 * r_max,
-    )
+    sol = _shot(a, N, p, lam, r_max, rtol, 0.0)
     if sol.t_events[0].size:
         return "high", sol
     if sol.t_events[1].size:
@@ -195,38 +206,10 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
             lo = mid
     a_star = 0.5 * (lo + hi)
 
-    r0 = 1e-8
-    c = (lam * a_star - a_star ** (p - 1)) / (2.0 * N)
-
-    def rhs(r, yv):
-        u, du = yv
-        return [du, lam * u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
-
     # stop where the shot inevitably departs from the separatrix (crossing
     # below zero or turning back up); the matched tail takes over from there
-    def bad(r, yv):
-        return yv[0] - 1e-12 * a_star
-
-    bad.terminal = True
-    bad.direction = -1.0
-
-    def turned(r, yv):
-        return yv[1]
-
-    turned.terminal = True
-    turned.direction = 1.0
-
-    mesh = np.linspace(r0, r_max, 4001)
-    sol = solve_ivp(
-        rhs,
-        (r0, r_max),
-        [a_star + c * r0**2, 2.0 * c * r0],
-        t_eval=mesh,
-        events=(bad, turned),
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=0.1 * r_max,
-    )
+    mesh = np.linspace(_R0, r_max, 4001)
+    sol = _shot(a_star, N, p, lam, r_max, tol, 1e-12 * a_star, t_eval=mesh)
     r = np.concatenate(([0.0], sol.t))
     w = np.concatenate(([a_star], sol.y[0]))
     dw = np.concatenate(([0.0], sol.y[1]))
@@ -260,13 +243,22 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
 # Nehari scaling
 # ---------------------------------------------------------------------------
 
+def _ray_peak(J: float, M: float, p: float):
+    """Peak of the ray t -> I(t u) for J = J(u), M = ||u||_p^p: its t and its value.
+
+    t = (J/M)^{1/(p-2)}, value (1/2 - 1/p)(J/M^{2/p})^{p/(p-2)}.
+    """
+    t = (J / M) ** (1.0 / (p - 2.0))
+    return t, (0.5 - 1.0 / p) * (J / M ** (2.0 / p)) ** (p / (p - 2.0))
+
+
 def nehari_scale(u: ComplexField, A, params: FunctionalParams) -> float:
     """The unique t > 0 placing t*u on the Nehari set: t = (J(u)/||u||_p^p)^{1/(p-2)}."""
     M = lp_norm(u, params.p) ** params.p
     if M == 0.0:
         raise ValueError("nehari_scale needs a nonzero field")
     J = functional_J(u, A, params)
-    return float((J / M) ** (1.0 / (params.p - 2.0)))
+    return float(_ray_peak(J, M, params.p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +289,6 @@ def minimize_constrained(
     params: FunctionalParams,
     grid: Grid,
     seed: Optional[ComplexField] = None,
-    step: float = 1e-3,
     max_iters: int = 4000,
     stall_tol: float = 1e-6,
     mode: str = "functional",
@@ -306,14 +297,15 @@ def minimize_constrained(
 
     The J-gradient g (the quadratic part of the Euler-Lagrange residual) is
     preconditioned by P, the DST inverse of the free Laplacian plus the shift
-    ``max(mean(V), 1e-6)`` (the rule ``critical_point_search`` uses), applied
-    to real and imaginary parts alike.  The direction is P g with the P-image
-    of the constraint normal n = |u|^{p-2} u projected out,
-    ``d = P g - (<P g, n> / <P n, n>) P n``, so ``<d, n> = 0`` and d descends
-    in the P metric (a Sobolev-gradient flow).  Each iteration steps against d
-    and renormalizes in L^p; steps use a Barzilai-Borwein guess with monotone
-    backtracking, capped at half the iterate's norm.  The stop test is on the
-    raw (unpreconditioned) projected gradient: its W-norm must fall below
+    ``max(mean(V), 1e-6)`` (``_poisson_solver``, as in
+    ``critical_point_search``), applied to real and imaginary parts alike.
+    The direction is P g with the P-image of the constraint normal
+    n = |u|^{p-2} u projected out, ``d = P g - (<P g, n> / <P n, n>) P n``,
+    so ``<d, n> = 0`` and d descends in the P metric (a Sobolev-gradient
+    flow).  Each iteration steps against d and renormalizes in L^p; steps use
+    a Barzilai-Borwein guess (first trial 1e-3) with monotone backtracking,
+    capped at half the iterate's norm.  The stop test is on the raw
+    (unpreconditioned) projected gradient: its W-norm must fall below
     ``stall_tol * max(||g||, 1)``.  ``mode='lambda0'`` minimizes the bare
     magnetic energy over the unit L^2 sphere instead, estimating the bottom of
     the quadratic form.
@@ -349,7 +341,7 @@ def minimize_constrained(
     def ip(a, b):
         return float(np.sum(W * np.real(a * np.conj(b))))
 
-    pre = _poisson_solver(grid, max(float(np.mean(Vvals)), 1e-6))
+    pre = _poisson_solver(grid, Vvals)
 
     def precondition(z):
         return pre(z.real) + 1j * pre(z.imag)
@@ -381,7 +373,7 @@ def minimize_constrained(
         dnorm = np.sqrt(max(ip(d, d), 1e-300))
         unorm = np.sqrt(max(ip(u, u), 1e-300))
         cap = 0.5 * unorm / dnorm
-        a_try = min(alpha, cap) if alpha is not None else min(step, cap)
+        a_try = min(alpha, cap) if alpha is not None else min(1e-3, cap)
         accepted = False
         for _ in range(60):
             cand = normalize(u - a_try * d)
@@ -454,13 +446,17 @@ def _second_moment(gs: GroundState) -> float:
     return float(area * simpson(gs.w**2 * gs.r ** (gs.N + 1), x=gs.r))
 
 
+def _sigma(bsup: float, gs: GroundState, p: float):
+    """sigma = ||B||_inf^2 int |x|^2 w^2 / ||w||_p^p, with the second moment it used."""
+    mom2 = _second_moment(gs)
+    return bsup**2 * mom2 / gs.normp**p, mom2
+
+
 def condition_report(
     A: PotentialField,
     gs: GroundState,
     params: FunctionalParams,
     window=None,
-    curl_resolution: int = 129,
-    probe_radius: Optional[float] = None,
     grid: Optional[Grid] = None,
     lambda0: bool = False,
 ) -> ConditionReport:
@@ -469,19 +465,20 @@ def condition_report(
     sigma = ||B||_inf^2 int |x|^2 w^2 / ||w||_p^p; the field condition holds
     iff (1 + sigma)^{p/(p-2)} < 2, equivalently sigma < 2^{(p-2)/p} - 1, and
     both formulations are evaluated and must agree; rounding can split them at
-    the threshold, which raises ``RuntimeError``.  Vanishing at infinity is
-    evidenced by the corrected potential along diverging probe trajectories.
+    the threshold, which raises ``RuntimeError``.  ||B||_inf is sampled at 129
+    points per axis of the window.  Vanishing at infinity is evidenced by the
+    corrected potential along diverging probe trajectories, at distances
+    R0 + 4k (k = 1..4) along each axis with R0 = 6 decay lengths.
     """
     if gs.p != params.p or gs.lam != params.lam:
         raise ValueError("ground state computed for different (p, lam) than params")
     p = params.p
     M = gs.normp**p
-    mom2 = _second_moment(gs)
     if window is None:
         window = 8.0
-    B = curl(A, window, curl_resolution)
+    B = curl(A, window, 129)
     bsup = b_sup_norm(B)
-    sigma = bsup**2 * mom2 / M
+    sigma, mom2 = _sigma(bsup, gs, p)
     sigma_max = 2.0 ** ((p - 2.0) / p) - 1.0
     threshold_B = float(np.sqrt(sigma_max * M / mom2))
     holds_sigma = sigma < sigma_max
@@ -493,14 +490,14 @@ def condition_report(
         )
 
     probe_grid = grid if grid is not None else Grid(2.0, 9, dim=A.dim)
-    R0 = probe_radius if probe_radius is not None else 6.0 * gs.decay_length
+    R0 = 6.0 * gs.decay_length
     evidence = {}
     holds_A = True
     for axis in range(A.dim):
         direction = np.zeros(A.dim)
         direction[axis] = 1.0
         traj = [direction * (R0 + 4.0 * k) for k in range(1, 5)]
-        _, rep = potential_at_infinity(A, traj, probe_grid, tol=1e-6)
+        _, rep = potential_at_infinity(A, traj, probe_grid)
         vanishes = rep["converged"] and rep["sup_last"] < 1e-6
         evidence[f"axis_{axis}"] = {
             "distances": rep["distances"],
@@ -597,10 +594,6 @@ def landscape_eval(
     R: Optional[float] = None,
     T: float = 3.0,
     y_step: Optional[float] = None,
-    n_t: int = 61,
-    eta_tol: float = 1e-3,
-    seed_tie_tol: float = 1e-2,
-    quad_tol: float = 1e-10,
 ) -> LandscapeResult:
     """Evaluate the pass functional over shifted-and-scaled ground states.
 
@@ -611,7 +604,17 @@ def landscape_eval(
     at t = T, so T must be enlarged).  Under the smallness condition the
     surface maximum must sit strictly between c_inf and 2 c_inf, below
     c_inf (1 + sigma)^{p/(p-2)}.
+
+    Shifts use ``make_shift``'s quadrature tolerance 1e-10.  The seed point
+    is the lattice point closest to the origin among those within 1e-2
+    (relative) of the maximum.  Eta matches scan 61 values of t in [0, T]
+    and accept a relative deviation up to 1e-3.  A negative or non-finite R
+    and a non-positive or non-finite T raise ``ValueError``.
     """
+    if R is not None and not (np.isfinite(R) and R >= 0):
+        raise ValueError(f"R must be finite and >= 0, got {R}")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and > 0, got {T}")
     if R is None:
         R = 6.0 * gs.decay_length
     if y_step is None:
@@ -626,30 +629,29 @@ def landscape_eval(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", BoundaryMassWarning)
         for i, y in enumerate(y_points):
-            gu = shift_apply(make_shift(A, y, grid, quad_tol=quad_tol, max_loss=0.5), w)
+            gu = shift_apply(make_shift(A, y, grid, max_loss=0.5), w)
             J = functional_J(gu, prep, params)
             M = lp_norm(gu, p) ** p
-            tbar = (J / M) ** (1.0 / (p - 2.0))
+            tbar, peak = _ray_peak(J, M, p)
             if tbar > T:
                 raise RayRisingError(
                     f"ray through y={y.tolist()} still rising at t = T = {T} "
                     f"(peak at t = {tbar:.3f}); increase T"
                 )
             t_max[i] = tbar
-            values[i] = (0.5 - 1.0 / p) * (J / M ** (2.0 / p)) ** (p / (p - 2.0))
+            values[i] = peak
             etas[i] = eta_map(gu, params)
         del gu  # freed before the 129^dim curl below, which sets peak memory in 3-D
 
     imax = int(np.argmax(values))
     cmax = float(values[imax])
-    near = np.flatnonzero(values >= cmax * (1.0 - seed_tie_tol))
+    near = np.flatnonzero(values >= cmax * (1.0 - 1e-2))
     dist = np.sqrt(np.sum(y_points[near] ** 2, axis=1))
     iseed = int(near[np.argmin(dist)])
 
     sigma_window = tuple((-(R + 8.0 * gs.decay_length), R + 8.0 * gs.decay_length) for _ in range(A.dim))
     bsup = b_sup_norm(curl(A, sigma_window, 129))
-    mom2 = _second_moment(gs)
-    sigma = bsup**2 * mom2 / (gs.normp**p)
+    sigma, _ = _sigma(bsup, gs, p)
     upper = gs.c_inf * (1.0 + sigma) ** (p / (p - 2.0))
     slack = 1e-6
     bracket = {
@@ -668,13 +670,13 @@ def landscape_eval(
     eta0 = np.concatenate((np.zeros(grid.dim), [gs.normp**p]))
     scale = np.concatenate((np.full(grid.dim, gs.normp**p), [gs.normp**p]))
     matches = []
-    t_grid = np.linspace(0.0, T, n_t)
+    t_grid = np.linspace(0.0, T, 61)
     for i, y in enumerate(y_points):
         tp = t_grid[1:, None] ** p  # skip t = 0
         eta_t = tp * etas[i][None, :]
         dev = np.max(np.abs(eta_t - eta0[None, :]) / scale[None, :], axis=1)
         j = int(np.argmin(dev))
-        if dev[j] <= eta_tol:
+        if dev[j] <= 1e-3:
             matches.append({"y": y.tolist(), "t": float(t_grid[1 + j]), "deviation": float(dev[j])})
 
     return LandscapeResult(
@@ -692,15 +694,9 @@ def landscape_eval(
     )
 
 
-def landscape_seed(
-    land: LandscapeResult,
-    gs: GroundState,
-    A: PotentialField,
-    grid: Grid,
-    quad_tol: float = 1e-10,
-) -> ComplexField:
-    """Scaled shifted profile t g_y w at the landscape's seed point."""
-    g = make_shift(A, land.seed_point, grid, quad_tol=quad_tol, max_loss=0.5)
+def landscape_seed(land: LandscapeResult, gs: GroundState, A: PotentialField, grid: Grid) -> ComplexField:
+    """Scaled shifted profile t g_y w at the landscape's seed point (quadrature tolerance 1e-10)."""
+    g = make_shift(A, land.seed_point, grid, max_loss=0.5)
     w = shift_apply(g, gs.on_grid(grid))
     return ComplexField(grid, land.t_max[land.seed_index] * w.values)
 
@@ -712,12 +708,12 @@ def two_bump_diagnostic(
     grid: Grid,
     R: float,
     n_mix: int = 5,
-    quad_tol: float = 1e-10,
 ) -> dict:
     """Peak levels along the two-bump surface (diagnostic output only).
 
-    Mixes two antipodally shifted profiles with cosine/sine weights; for a
-    large separation 2R the peak approaches twice the single-bump level.
+    Mixes two antipodally shifted profiles (quadrature tolerance 1e-10) with
+    cosine/sine weights; for a large separation 2R the peak approaches twice
+    the single-bump level.
     """
     p = params.p
     w = gs.on_grid(grid)
@@ -728,8 +724,8 @@ def two_bump_diagnostic(
         for axis in range(grid.dim):
             d = np.zeros(grid.dim)
             d[axis] = R
-            g_minus = make_shift(A, -d, grid, quad_tol=quad_tol, max_loss=0.5)
-            g_plus = make_shift(A, d, grid, quad_tol=quad_tol, max_loss=0.5)
+            g_minus = make_shift(A, -d, grid, max_loss=0.5)
+            g_plus = make_shift(A, d, grid, max_loss=0.5)
             left = shift_apply(g_minus, w).values
             right = shift_apply(g_plus, w).values
             for s in np.linspace(0.0, 1.0, n_mix):
@@ -737,7 +733,7 @@ def two_bump_diagnostic(
                 u = ComplexField(grid, mix)
                 J = functional_J(u, prep, params)
                 M = lp_norm(u, p) ** p
-                peak = (0.5 - 1.0 / p) * (J / M ** (2.0 / p)) ** (p / (p - 2.0))
+                _, peak = _ray_peak(J, M, p)
                 rows.append({"axis": axis, "mix": float(s), "peak": float(peak)})
     return {"R": R, "rows": rows, "max_peak": max(r["peak"] for r in rows), "c_inf": gs.c_inf}
 
@@ -759,8 +755,11 @@ class SearchResult:
     bracket: Optional[dict] = None
 
 
-def _poisson_solver(grid: Grid, shift: float):
+def _poisson_solver(grid: Grid, V: np.ndarray):
     """Fast approximate inverse of (free Laplacian + shift) via sine transforms.
+
+    The shift is ``max(mean(V), 1e-6)`` for the potential samples V: the
+    mass term on average, kept positive so the inverse exists.
 
     The interior of the composed staggered Laplacian is the product 3-point
     stencil, which DST-I diagonalizes per axis; boundary-weight deviations
@@ -773,7 +772,7 @@ def _poisson_solver(grid: Grid, shift: float):
         k = np.arange(1, grid.n[m] + 1)
         lam_ax = (2.0 - 2.0 * np.cos(np.pi * k / (grid.n[m] + 1))) / grid.h[m] ** 2
         eig = eig + lam_ax.reshape((1,) * m + (-1,) + (1,) * (grid.dim - 1 - m))
-    denom = eig + shift
+    denom = eig + max(float(np.mean(V)), 1e-6)
 
     def solve(x):
         return idstn(dstn(x, type=1) / denom, type=1)
@@ -877,8 +876,7 @@ def critical_point_search(
             return cand, c_vals, c_norm
         return None
 
-    mean_v = float(np.mean(Vvals))
-    pre = _poisson_solver(grid, max(mean_v, 1e-6))
+    pre = _poisson_solver(grid, Vvals)
 
     def precondition(x):
         xr = pre(x[:size].reshape(grid.shape))

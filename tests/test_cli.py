@@ -144,3 +144,24 @@ def test_numerical_failure_exits_2_with_diagnostic(tmp_path):
     doc = read_json(out / "diagnostic.json")
     assert "increase T" in doc["failure"]
     assert os.path.exists(out / "manifest.json")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("landscape", "--R", v) for v in ("-1", "inf", "nan")]
+    + [("landscape", "--T", v) for v in ("0", "-1", "inf")]
+    + [("solve", "--R", "-1"), ("solve", "--T", "0")],
+)
+def test_bad_ray_box_exits_1(tmp_path, capsys, command, flag, value):
+    # an empty lattice (R < 0), an unbounded one (R = inf) or an empty ray
+    # (T <= 0) is a validation error, not a traceback or a numerical failure
+    out = tmp_path / "bad"
+    args = {"--R": "1", "--T": "3"}
+    args[flag] = value
+    code = run([
+        command, "--field", "zero", "--dim", "2", "--R", args["--R"], "--T", args["--T"],
+        "--y-step", "1", "--out", str(out),
+    ])
+    assert code == 1
+    assert f"{flag[2:]} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(out / "diagnostic.json")
