@@ -5,25 +5,27 @@ verifiers) use centered second-order differences with zero ghost values:
 fields are treated as compactly supported.  The energy and all variational
 operators use the staggered covariant derivative
 
-    (S_m u)[midpoint] = (u_+ - u_-)/h + i A_m(midpoint) (u_+ + u_-)/2,
+    (S_m u)[midpoint] = a_m u_+ - b_m u_-,  a_m, b_m = 1/h_m +- i A_m(midpoint)/2,
 
-second-order accurate at cell midpoints.  The magnetic Laplacian is the
-quadrature-weighted adjoint composition sum_m S_m^* S_m, so the energy
-identity <S^* S u, u> = E_A(u) holds to rounding on the grid, the quadratic
-form is positive on compactly supported data, and the composed stencil stays
-compact (a naive composition of centered differences decouples the even and
-odd sublattices and admits spurious zero-energy checkerboard modes, which
-breaks constrained minimization).
+second-order accurate at cell midpoints; ``PreparedPotential`` builds these
+edge coefficients once.  The magnetic Laplacian is the quadrature-weighted
+adjoint composition sum_m S_m^* S_m, applied as the 2 dim + 1 point stencil
+derived from the same coefficients.  So the energy identity
+<S^* S u, u> = E_A(u) holds to rounding on the grid, the quadratic form is
+positive on compactly supported data, and the stencil stays compact (a naive
+composition of centered differences decouples the even and odd sublattices
+and admits spurious zero-energy checkerboard modes, which breaks constrained
+minimization).
 """
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
-from .field import PotentialField, _along
+from .field import _along, _mesh_points
 
 __all__ = [
     "Grid",
@@ -110,7 +112,7 @@ class Grid:
 
     def nodes(self) -> np.ndarray:
         """Coordinates of all nodes, shape (*shape, dim); cached."""
-        return self._cached("nodes", lambda: np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1))
+        return self._cached("nodes", lambda: _mesh_points(self.axes))
 
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shape = grid shape; cached."""
@@ -230,67 +232,69 @@ def _centered_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _midpoint_axes(grid: Grid, m: int) -> list:
+    """Grid axes with axis m replaced by its n_m + 1 midpoints, half a step beyond each end."""
+    axes = list(grid.axes)
+    ax, h = axes[m], grid.h[m]
+    axes[m] = np.concatenate(([ax[0] - 0.5 * h], 0.5 * (ax[:-1] + ax[1:]), [ax[-1] + 0.5 * h]))
+    return axes
+
+
 class PreparedPotential:
-    """Node and per-axis midpoint samples of a potential on one grid.
+    """Node samples of a potential and the edge coefficients of S on one grid.
 
     Prepare once and reuse inside iteration loops; all calculus operators
     accept a PotentialField, raw node samples (dim, *shape), or this.
     """
 
-    def __init__(self, grid: Grid, node: np.ndarray, mids: list):
+    def __init__(self, grid: Grid, node: np.ndarray, edge_A: list):
         self.grid = grid
         self.node = node  # (dim, *shape)
-        self.mids = mids  # per axis m: component m at midpoints, axis m has n+1 entries
+        # S_m u = a_m u_+ - b_m u_- on the n_m + 1 axis-m edges (the outer two
+        # reach the zero ghosts); edge_A[m] is component m at their midpoints
+        self.a = [1.0 / h + 0.5j * Am for h, Am in zip(grid.h, edge_A)]
+        self.b = [1.0 / h - 0.5j * Am for h, Am in zip(grid.h, edge_A)]
 
-    @staticmethod
-    def midpoint_axis(grid: Grid, m: int) -> np.ndarray:
-        ax = grid.axes[m]
-        h = grid.h[m]
-        return np.concatenate(([ax[0] - 0.5 * h], 0.5 * (ax[:-1] + ax[1:]), [ax[-1] + 0.5 * h]))
+    @cached_property
+    def stencil(self):
+        """(diag, couplings) of sum_m S_m^* M_m S_m, M_m the midpoint measure; built on first use.
+
+        With edge j between nodes j-1 and j, row j along axis m reads
+        ((M|a|^2)_j + (M|b|^2)_{j+1}) u_j - c_{j+1} u_{j+1} - conj(c_j) u_{j-1},
+        c = M conj(b) a on the n_m - 1 interior edges.
+        """
+        grid = self.grid
+        diag = np.zeros(grid.shape)
+        couplings = []
+        for m, (a, b) in enumerate(zip(self.a, self.b)):
+            M = _mid_measure(grid, m)
+            at = partial(_along, grid.dim, m)
+            diag += (M * np.abs(a) ** 2)[at(slice(0, -1))] + (M * np.abs(b) ** 2)[at(slice(1, None))]
+            inner = at(slice(1, -1))
+            couplings.append(M[inner] * np.conj(b[inner]) * a[inner])
+        return diag, couplings
 
 
 def prepare_potential(A, grid: Grid) -> "PreparedPotential":
+    """Sample A once for ``grid``: evaluators through ``on_axes``, raw node arrays by averaging."""
     if isinstance(A, PreparedPotential):
         if A.grid.shape != grid.shape:
             raise ValueError("prepared potential belongs to a different grid")
         return A
-    if isinstance(A, PotentialField):
-        if A.dim != grid.dim:
-            raise ValueError(f"field dim {A.dim} vs grid dim {grid.dim}")
-        node = np.moveaxis(A(grid.nodes()), -1, 0)
-        mids = []
-        for m in range(grid.dim):
-            axes = list(grid.axes)
-            axes[m] = PreparedPotential.midpoint_axis(grid, m)
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            mids.append(A(mesh)[..., m])
-        return PreparedPotential(grid, node, mids)
-    hook = getattr(A, "component_on_axes", None)
-    if hook is not None:
-        node = np.stack([hook(m, grid.axes) for m in range(grid.dim)])
-        mids = []
-        for m in range(grid.dim):
-            axes = list(grid.axes)
-            axes[m] = PreparedPotential.midpoint_axis(grid, m)
-            mids.append(hook(m, axes))
-        return PreparedPotential(grid, node, mids)
+    on_axes = getattr(A, "on_axes", None)
+    if on_axes is not None:
+        node = on_axes(grid.axes)
+        edge_A = [on_axes(_midpoint_axes(grid, m))[m] for m in range(grid.dim)]
+        return PreparedPotential(grid, node, edge_A)
     arr = np.asarray(A, dtype=float)
     if arr.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"potential samples shape {arr.shape}, expected {(grid.dim,) + grid.shape}")
-    mids = []
-    for m in range(grid.dim):
-        comp = arr[m]
+    edge_A = []
+    for m, comp in enumerate(arr):
         at = partial(_along, grid.dim, m)
-        pad_lo = comp[at(slice(0, 1))]
-        pad_hi = comp[at(slice(-1, None))]
         inner_avg = 0.5 * (comp[at(slice(0, -1))] + comp[at(slice(1, None))])
-        mids.append(np.concatenate((pad_lo, inner_avg, pad_hi), axis=m))
-    return PreparedPotential(grid, arr, mids)
-
-
-def _potential_samples(A, grid: Grid) -> np.ndarray:
-    """Covector node samples with shape (dim, *grid.shape)."""
-    return prepare_potential(A, grid).node
+        edge_A.append(np.concatenate((comp[at(slice(0, 1))], inner_avg, comp[at(slice(-1, None))]), axis=m))
+    return PreparedPotential(grid, arr, edge_A)
 
 
 def covariant_gradient(u: ComplexField, A) -> np.ndarray:
@@ -300,7 +304,7 @@ def covariant_gradient(u: ComplexField, A) -> np.ndarray:
     entering the pointwise inequality verifiers.
     """
     grid = u.grid
-    Avals = _potential_samples(A, grid)
+    Avals = prepare_potential(A, grid).node
     out = np.empty((grid.dim,) + grid.shape, dtype=complex)
     vals = u.values.astype(complex, copy=False)
     for m in range(grid.dim):
@@ -308,24 +312,18 @@ def covariant_gradient(u: ComplexField, A) -> np.ndarray:
     return out
 
 
-def _pad_zero(vals: np.ndarray, axis: int):
-    shape = list(vals.shape)
-    shape[axis] = 1
-    z = np.zeros(shape, dtype=vals.dtype)
-    return np.concatenate((z, vals, z), axis=axis)
-
-
 def staggered_gradient(u: ComplexField, A) -> list:
-    """Per-axis midpoint values of the covariant derivative (axis m has n+1 entries)."""
+    """Per-axis midpoint values a_m u_+ - b_m u_- of the covariant derivative (axis m has n+1 entries)."""
     grid = u.grid
     prep = prepare_potential(A, grid)
-    vals = u.values.astype(complex, copy=False)
+    vals = u.values
     out = []
-    for m in range(grid.dim):
-        padded = _pad_zero(vals, m)
-        lo = padded[_along(grid.dim, m, slice(0, -1))]
-        hi = padded[_along(grid.dim, m, slice(1, None))]
-        out.append((hi - lo) / grid.h[m] + 1j * prep.mids[m] * 0.5 * (hi + lo))
+    for m, (a, b) in enumerate(zip(prep.a, prep.b)):
+        lo, hi = _along(grid.dim, m, slice(0, -1)), _along(grid.dim, m, slice(1, None))
+        G = np.zeros(a.shape, dtype=complex)
+        np.multiply(a[lo], vals, out=G[lo])
+        G[hi] -= b[hi] * vals
+        out.append(G)
     return out
 
 
@@ -351,21 +349,19 @@ def _mid_measure(grid: Grid, m: int) -> np.ndarray:
 def magnetic_laplacian(u: ComplexField, A) -> np.ndarray:
     """S^* S u with the quadrature-weighted adjoint of the staggered derivative.
 
-    Positive on compactly supported data; <magnetic_laplacian(u), u> equals
-    E_A(u) exactly in exact arithmetic.
+    Applies the prepared ``2 dim + 1``-point stencil.  Positive on compactly
+    supported data; <magnetic_laplacian(u), u> equals E_A(u) exactly in
+    exact arithmetic.
     """
     grid = u.grid
-    prep = prepare_potential(A, grid)
-    G = staggered_gradient(u, prep)
-    W = grid.weights()
-    out = np.zeros(grid.shape, dtype=complex)
-    for m in range(grid.dim):
-        MG = _mid_measure(grid, m) * G[m]
-        lo_ix, hi_ix = _along(grid.dim, m, slice(0, -1)), _along(grid.dim, m, slice(1, None))
-        lo, hi = MG[lo_ix], MG[hi_ix]
-        Alo, Ahi = prep.mids[m][lo_ix], prep.mids[m][hi_ix]
-        out += (lo - hi) / grid.h[m] - 0.5j * (Alo * lo + Ahi * hi)
-    return out / W
+    diag, couplings = prepare_potential(A, grid).stencil
+    vals = u.values
+    out = diag * vals
+    for m, c in enumerate(couplings):
+        lo, hi = _along(grid.dim, m, slice(0, -1)), _along(grid.dim, m, slice(1, None))
+        out[lo] -= c * vals[hi]
+        out[hi] -= np.conj(c) * vals[lo]
+    return out / grid.weights()
 
 
 def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> complex:
@@ -466,21 +462,20 @@ def pointwise_bounds_check(u: ComplexField, A, lam: float = 1.0, n_bumps: int = 
     ``np.random.default_rng(0)``.
     """
     grid = u.grid
-    Avals = _potential_samples(A, grid)
+    Avals = prepare_potential(A, grid).node
     A2 = np.sum(Avals**2, axis=0)
 
-    def slacks(w: ComplexField):
-        G = covariant_gradient(w, Avals)
-        zero = np.zeros((grid.dim,) + grid.shape)
-        G0 = covariant_gradient(w, zero)
-        gA2 = np.sum(np.abs(G) ** 2, axis=0)
-        g02 = np.sum(np.abs(G0) ** 2, axis=0)
-        u2 = np.abs(w.values) ** 2
-        s1 = gA2 - 0.5 * g02 + 7.0 * A2 * u2  # >= 0
-        s2 = 2.0 * gA2 + 14.0 * A2 * u2 - g02  # >= 0
-        return float(np.min(s1)), float(np.min(s2))
+    zero = np.zeros((grid.dim,) + grid.shape)
 
-    s1, s2 = slacks(u)
+    def squares(w: ComplexField):
+        """|grad_A w|^2, |grad w|^2 and |w|^2 at the nodes."""
+        gA2 = np.sum(np.abs(covariant_gradient(w, Avals)) ** 2, axis=0)
+        g02 = np.sum(np.abs(covariant_gradient(w, zero)) ** 2, axis=0)
+        return gA2, g02, np.abs(w.values) ** 2
+
+    gA2, g02, u2 = squares(u)
+    s1 = float(np.min(gA2 - 0.5 * g02 + 7.0 * A2 * u2))  # >= 0
+    s2 = float(np.min(2.0 * gA2 + 14.0 * A2 * u2 - g02))  # >= 0
 
     rng = np.random.default_rng(0)
     ratios = []
@@ -489,13 +484,9 @@ def pointwise_bounds_check(u: ComplexField, A, lam: float = 1.0, n_bumps: int = 
         center = rng.uniform(-0.4, 0.4, size=grid.dim) * np.array(grid.extents)
         width = rng.uniform(0.6, 1.6)
         wave = rng.uniform(-1.5, 1.5, size=grid.dim)
-        w = bump(grid, center=center, width=width, wave=wave)
-        G = covariant_gradient(w, Avals)
-        zero = np.zeros((grid.dim,) + grid.shape)
-        G0 = covariant_gradient(w, zero)
-        u2 = np.abs(w.values) ** 2
-        num = float(np.sum(W * (np.sum(np.abs(G) ** 2, axis=0) + lam * u2)))
-        den = float(np.sum(W * (np.sum(np.abs(G0) ** 2, axis=0) + u2)))
+        gA2, g02, u2 = squares(bump(grid, center=center, width=width, wave=wave))
+        num = float(np.sum(W * (gA2 + lam * u2)))
+        den = float(np.sum(W * (g02 + u2)))
         ratios.append(num / den)
     return {
         "worst_slack_lower": s1,

@@ -34,6 +34,7 @@ from .gauge import (
 from .profiles import Discretization, ExtractOpts, SyntheticSpec, extract_profiles, synthesize_sequence, verify_decomposition
 from .solver import (
     DivergenceError,
+    check_ray_box,
     condition_report,
     critical_point_search,
     landscape_eval,
@@ -98,17 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
             sp.add_argument("--V", default=None, help="const:v=<f> | gauss:base=<f>,amp=<f>,s=<f>")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("gauge", help="re-phasing field and corrected potential")
     common(sp, functional=False)
     sp.add_argument("--y", required=True, help="base point, comma-separated")
     sp.add_argument("--normalization", choices=("at_base", "at_half"), default="at_base")
+    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
 
     sp = sub.add_parser("groundstate", help="radial profile of the field-free limit problem")
     common(sp, field=False)
     sp.add_argument("--rmax", type=float, default=35.0)
+    sp.add_argument("--tol", type=float, default=1e-10, help="shooting tolerance")
 
     sp = sub.add_parser("conditions", help="field smallness and vanishing-at-infinity report")
     common(sp)
@@ -125,12 +126,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--T", type=float, default=3.0)
     sp.add_argument("--y-step", dest="y_step", type=float, default=None)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=60)
+    sp.add_argument("--tol", type=float, default=1e-6, help="residual tolerance")
 
     sp = sub.add_parser("profiles", help="synthesize a planted sequence and extract its profiles")
     sp.add_argument("--spec", required=True, help="JSON document describing the synthetic sequence")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--seed", type=int, default=None, help="noise seed, overriding the spec's")
 
     return parser
 
@@ -154,8 +155,7 @@ def _run_gauge(args) -> int:
     grid = _make_grid(args)
     A = parse_field_spec(args.field, dim=args.dim)
     y = _parse_point(args.y, args.dim)
-    quad_tol = args.tol if args.tol is not None else 1e-10
-    phase = rephase_field(A, y, grid, quad_tol=quad_tol, normalization=args.normalization)
+    phase = rephase_field(A, y, grid, quad_tol=args.tol, normalization=args.normalization)
     cp = corrected_potential(A, phase, grid)
     B = curl(A, tuple((-L, L) for L in grid.extents), min(grid.n))
     bound = linear_bound_check(cp, B)
@@ -174,7 +174,7 @@ def _run_gauge(args) -> int:
     slab_err = 0.0
     for n in range(1, grid.dim + 1):
         axes = [np.array([y[m]]) for m in range(n - 1)] + [grid.axes[m] for m in range(n - 1, grid.dim)]
-        samples = corrected_potential_samples(A, y, axes, quad_tol)
+        samples = corrected_potential_samples(A, y, axes, args.tol)
         slab_err = max(slab_err, float(np.max(np.abs(samples[n - 1]))))
 
     mio.field_to_csv(phase.samples, os.path.join(out, "phi.csv"))
@@ -182,7 +182,7 @@ def _run_gauge(args) -> int:
     report = {
         "base_point": y.tolist(),
         "normalization": args.normalization,
-        "quad_tol": quad_tol,
+        "quad_tol": args.tol,
         "max_bound_violation": {"value": bound["max_violation"], "tol": 1e-8},
         "curl_error": {"value": curl_err, "note": "finite-difference curl of A_y vs analytic curl of A"},
         "slab_error": {"value": slab_err, "tol": 1e-8},
@@ -195,8 +195,7 @@ def _run_gauge(args) -> int:
 
 def _run_groundstate(args) -> int:
     out = _outdir(args)
-    tol = args.tol if args.tol is not None else 1e-10
-    gs = radial_ground_state(args.dim, args.p, args.lam, r_max=args.rmax, tol=tol)
+    gs = radial_ground_state(args.dim, args.p, args.lam, r_max=args.rmax, tol=args.tol)
     mio.radial_to_csv(gs.r, {"w": gs.w, "dw": gs.dw}, os.path.join(out, "w.csv"))
     doc = {
         "N": gs.N,
@@ -208,7 +207,7 @@ def _run_groundstate(args) -> int:
         "energy": gs.energy,
         "c_inf": gs.c_inf,
         "nehari_residual": {"value": gs.nehari_residual(), "tol": 1e-6},
-        "ode_tol": tol,
+        "ode_tol": args.tol,
     }
     mio.write_json(doc, os.path.join(out, "gs.json"))
     _manifest(args, out)
@@ -239,6 +238,7 @@ def _run_landscape(args) -> int:
     grid = _make_grid(args)
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
+    check_ray_box(args.R, args.T)
     gs = radial_ground_state(args.dim, args.p, args.lam)
     land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
     mio.surface_to_csv(land.y_points, land.t_max, land.values, os.path.join(out, "surface.csv"))
@@ -263,11 +263,11 @@ def _run_solve(args) -> int:
     grid = _make_grid(args)
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
+    check_ray_box(args.R, args.T)
     gs = radial_ground_state(args.dim, args.p, args.lam)
     land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
     seed = landscape_seed(land, gs, A, grid)
-    tol = args.tol if args.tol is not None else 1e-6
-    res = critical_point_search(A, params, seed, tol=tol, max_iters=args.max_iters, gs=gs)
+    res = critical_point_search(A, params, seed, tol=args.tol, max_iters=args.max_iters, gs=gs)
     mio.field_to_csv(res.u, os.path.join(out, "u.csv"))
     trace = np.array(res.trace)
     np.savetxt(
@@ -280,7 +280,7 @@ def _run_solve(args) -> int:
     )
     doc = {
         "level": res.level,
-        "residual_norm": {"value": res.residual_norm, "tol": tol},
+        "residual_norm": {"value": res.residual_norm, "tol": args.tol},
         "iterations": res.iterations,
         "converged": res.converged,
         "stalled": res.stalled,
@@ -307,7 +307,7 @@ def _run_profiles(args) -> int:
     grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
     K = int(doc.get("K", 8))
     spec = SyntheticSpec.from_json(text, dim=dim)
-    if args.seed:
+    if args.seed is not None:
         spec.noise_seed = args.seed
     seq, truth = synthesize_sequence(spec, grid, K)
     ex = doc.get("extract", {})
@@ -363,7 +363,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    np.random.seed(args.seed if hasattr(args, "seed") else 0)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", BoundaryMassWarning)

@@ -58,6 +58,10 @@ class PotentialField:
         pts = np.asarray(points, dtype=float)
         return self.jac_fn(pts)
 
+    def on_axes(self, axes) -> np.ndarray:
+        """Components on the tensor grid spanned by ``axes``, shape (dim, *shape)."""
+        return np.moveaxis(self(_mesh_points(axes)), -1, 0)
+
 
 @dataclass
 class TwoForm:
@@ -99,6 +103,11 @@ def _normalize_window(window, dim: int):
     if len(out) != dim:
         raise ValueError(f"window has {len(out)} axes, field dim is {dim}")
     return tuple(out)
+
+
+def _mesh_points(axes) -> np.ndarray:
+    """Tensor mesh of ``axes`` as a (*shape, N) point array; a singleton axis pins its coordinate."""
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _along(ndim: int, axis: int, index) -> tuple:

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .calculus import ComplexField, Grid, RealField, bump
-from .field import PotentialField, TwoForm, _sample_derivative, b_sup_norm
+from .field import PotentialField, TwoForm, _mesh_points, _sample_derivative, b_sup_norm
 
 __all__ = [
     "GaugePhase",
@@ -97,11 +97,6 @@ def _cumulative_from(f, start: float, values: np.ndarray, tol: float, axis: int)
         acc = acc + _adaptive_simpson(f, float(lo), float(hi), tol)
         out.append(acc)
     return np.concatenate([np.asarray(o, dtype=float) for o in out], axis=axis)
-
-
-def _mesh_points(axes) -> np.ndarray:
-    """Tensor mesh of ``axes`` as a (*shape, N) point array; a singleton axis pins its coordinate."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
 
 
 def _line_integrals(integrand, head, axis_values, tail, start: float, tol: float) -> np.ndarray:
@@ -462,9 +457,9 @@ def shifted_corrected_samples(A: PotentialField, y, grid: Grid, quad_tol: float 
 class ShiftedCorrectedField:
     """A_y(. + y) as a tensor-grid evaluator, for exact use inside energies.
 
-    Exposes the ``component_on_axes`` hook the calculus module consumes, so
-    midpoint samples come from the closed corrected-potential formula rather
-    than from interpolation.
+    Exposes the same ``on_axes`` evaluator as a PotentialField, which the
+    calculus module consumes, so midpoint samples come from the closed
+    corrected-potential formula rather than from interpolation.
     """
 
     def __init__(self, A: PotentialField, y, quad_tol: float = 1e-10):
@@ -472,9 +467,9 @@ class ShiftedCorrectedField:
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
         self.quad_tol = quad_tol
 
-    def component_on_axes(self, m: int, axes) -> np.ndarray:
+    def on_axes(self, axes) -> np.ndarray:
         shifted = [np.asarray(ax) + yi for ax, yi in zip(axes, self.y)]
-        return corrected_potential_samples(self.A, self.y, shifted, self.quad_tol)[m]
+        return corrected_potential_samples(self.A, self.y, shifted, self.quad_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ __all__ = [
     "nehari_scale",
     "minimize_constrained",
     "condition_report",
+    "check_ray_box",
     "landscape_eval",
     "landscape_seed",
     "two_bump_diagnostic",
@@ -586,6 +587,14 @@ def _ball_lattice(grid: Grid, R: float, y_step: float) -> np.ndarray:
     return pts[order]
 
 
+def check_ray_box(R: Optional[float], T: float) -> None:
+    """Raise ``ValueError`` unless R is None or finite and >= 0, and T is finite and > 0."""
+    if R is not None and not (np.isfinite(R) and R >= 0):
+        raise ValueError(f"R must be finite and >= 0, got {R}")
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and > 0, got {T}")
+
+
 def landscape_eval(
     A: PotentialField,
     gs: GroundState,
@@ -609,12 +618,9 @@ def landscape_eval(
     is the lattice point closest to the origin among those within 1e-2
     (relative) of the maximum.  Eta matches scan 61 values of t in [0, T]
     and accept a relative deviation up to 1e-3.  A negative or non-finite R
-    and a non-positive or non-finite T raise ``ValueError``.
+    and a non-positive or non-finite T raise ``ValueError`` (``check_ray_box``).
     """
-    if R is not None and not (np.isfinite(R) and R >= 0):
-        raise ValueError(f"R must be finite and >= 0, got {R}")
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be finite and > 0, got {T}")
+    check_ray_box(R, T)
     if R is None:
         R = 6.0 * gs.decay_length
     if y_step is None:

@@ -275,6 +275,30 @@ def test_laplacian_positive_on_support():
         assert inner(g, magnetic_laplacian(u, A0), u.values).real > 0.0
 
 
+@pytest.mark.parametrize("tag, params", [("landau", {"b": 0.5}), ("gaussian_decay", {"b0": 0.6, "s": 1.0})])
+@pytest.mark.parametrize("dim, n", [(2, 17), (3, 9)])
+@pytest.mark.parametrize("where", ["interior", "boundary"])
+def test_laplacian_compact_stencil(tag, params, dim, n, where):
+    # S^* S couples a node only to itself and its in-window axis neighbours
+    # (2 dim + 1 points), and to each of them with a nonzero coefficient
+    g = Grid(2.0, n, dim=dim)
+    A = field_library(tag, dim=dim, **params)
+    node = (n // 2 + 1,) * dim if where == "interior" else (0,) + (n // 2 + 1,) * (dim - 1)
+    e = np.zeros(g.shape, dtype=complex)
+    e[node] = 1.0
+    expected = np.zeros(g.shape, dtype=bool)
+    expected[node] = True
+    for m in range(dim):
+        for step in (-1, 1):
+            nb = list(node)
+            nb[m] += step
+            if 0 <= nb[m] < n:
+                expected[tuple(nb)] = True
+    support = magnetic_laplacian(ComplexField(g, e), A) != 0
+    assert np.array_equal(support, expected)
+    assert np.sum(expected) == (2 * dim + 1 if where == "interior" else 2 * dim)
+
+
 # ---------------------------------------------------------------------------
 # Pointwise inequality verifiers
 # ---------------------------------------------------------------------------

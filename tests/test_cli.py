@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from magnls import cli
 from magnls.cli import run
 
 
@@ -152,9 +153,12 @@ def test_numerical_failure_exits_2_with_diagnostic(tmp_path):
     + [("landscape", "--T", v) for v in ("0", "-1", "inf")]
     + [("solve", "--R", "-1"), ("solve", "--T", "0")],
 )
-def test_bad_ray_box_exits_1(tmp_path, capsys, command, flag, value):
+def test_bad_ray_box_exits_1(tmp_path, capsys, monkeypatch, command, flag, value):
     # an empty lattice (R < 0), an unbounded one (R = inf) or an empty ray
-    # (T <= 0) is a validation error, not a traceback or a numerical failure
+    # (T <= 0) is a validation error, not a traceback or a numerical failure,
+    # and it is reported before any ground-state shooting
+    shots = []
+    monkeypatch.setattr(cli, "radial_ground_state", lambda *a, **k: shots.append(a))
     out = tmp_path / "bad"
     args = {"--R": "1", "--T": "3"}
     args[flag] = value
@@ -165,3 +169,34 @@ def test_bad_ray_box_exits_1(tmp_path, capsys, command, flag, value):
     assert code == 1
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
     assert not os.path.exists(out / "diagnostic.json")
+    assert shots == []
+
+
+@pytest.mark.parametrize("argv", [["conditions", "--tol", "1e-3"], ["landscape", "--seed", "1"]])
+def test_unread_flags_rejected(argv):
+    # --tol and --seed exist only where a command reads them
+    assert run(argv) == 1
+
+
+def test_profiles_seed_zero_overrides_spec(tmp_path):
+    spec = {
+        "grid": {"L": [12.0, 6.0], "n": [97, 49]},
+        "K": 4,
+        "field": "gauss:b0=0.4,s=1",
+        "profiles": [
+            {"amplitude": 1.0, "width": 0.8},
+            {"amplitude": 0.8, "width": 0.7, "trajectory": [2.0, 0.0]},
+        ],
+        "noise": {"amplitude": 0.05, "decay": 0.1, "seed": 3},
+        "extract": {"eps_mass": 0.001, "tail_window": 2, "window_radius": 4.0, "rho": 0.5},
+    }
+    docs = {}
+    for spec_seed, flag in ((3, []), (3, ["--seed", "0"]), (0, [])):
+        spec["noise"]["seed"] = spec_seed
+        path = tmp_path / f"spec{spec_seed}.json"
+        path.write_text(json.dumps(spec))
+        out = tmp_path / f"out{spec_seed}{''.join(flag)}"
+        assert run(["profiles", "--spec", str(path), "--out", str(out)] + flag) == 0
+        docs[(spec_seed, tuple(flag))] = (out / "decomposition.json").read_bytes()
+    assert docs[(3, ())] != docs[(0, ())]  # the noise seed reaches the artifact
+    assert docs[(3, ("--seed", "0"))] == docs[(0, ())]

@@ -200,19 +200,10 @@ def test_minimize_trace_monotone():
     assert np.all(diffs <= 1e-13 * np.abs(vals[:-1]))
 
 
-def test_minimize_nonattainment_drift(gs2):
+def test_minimize_nonattainment_drift(nonattainment_runs):
     # gaussian field: wider windows let mass drift away from the field, the
     # value decreases and the centroid distance increases
-    values = []
-    drifts = []
-    for L, n in ((4.0, 65), (6.0, 97), (8.0, 129)):
-        grid = Grid(L, n, dim=2)
-        seed = bump(grid, center=(1.0, 0.0), width=1.0)  # break the mirror symmetry
-        res = minimize_constrained(
-            field_library("gaussian_decay", b0=0.5, s=1.0), PARAMS2, grid, seed=seed, max_iters=4000
-        )
-        values.append(res.value)
-        drifts.append(float(np.linalg.norm(res.trace[-1][1])))
+    values, drifts = nonattainment_runs
     assert values[0] > values[1] > values[2]
     assert drifts[0] < drifts[1] < drifts[2]
 
