@@ -269,15 +269,7 @@ def _run_solve(args) -> int:
     seed = landscape_seed(land, gs, A, grid)
     res = critical_point_search(A, params, seed, tol=args.tol, max_iters=args.max_iters, gs=gs)
     mio.field_to_csv(res.u, os.path.join(out, "u.csv"))
-    trace = np.array(res.trace)
-    np.savetxt(
-        os.path.join(out, "trace.csv"),
-        trace,
-        fmt="%.17g",
-        delimiter=",",
-        header="I_value,residual_norm",
-        comments="",
-    )
+    mio.trace_to_csv(res.trace, os.path.join(out, "trace.csv"))
     doc = {
         "level": res.level,
         "residual_norm": {"value": res.residual_norm, "tol": args.tol},

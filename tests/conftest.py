@@ -5,7 +5,24 @@ import pytest
 
 from magnls.calculus import FunctionalParams, Grid, bump
 from magnls.field import field_library
-from magnls.solver import minimize_constrained
+from magnls.solver import minimize_constrained, radial_ground_state
+
+
+# The radial ground states for p=4, lambda=1 in N = 1, 2, 3: shot once per
+# session and shared by every test that reads them.
+@pytest.fixture(scope="session")
+def gs1():
+    return radial_ground_state(1, 4.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def gs2():
+    return radial_ground_state(2, 4.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def gs3():
+    return radial_ground_state(3, 4.0, 1.0)
 
 
 @pytest.fixture(scope="session")

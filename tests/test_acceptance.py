@@ -49,7 +49,6 @@ from magnls.solver import (
     landscape_eval,
     landscape_seed,
     minimize_constrained,
-    radial_ground_state,
 )
 
 PARAMS2 = FunctionalParams(p=4.0, lam=1.0, dim=2)
@@ -59,21 +58,6 @@ GRID2 = Grid(8.0, 129, dim=2)
 def report(num, desc, ok, detail=""):
     print(f"criterion {num:2d} [{'PASS' if ok else 'FAIL'}] {desc}" + (f"  ({detail})" if detail else ""))
     assert ok, f"criterion {num}: {desc} — {detail}"
-
-
-@pytest.fixture(scope="module")
-def gs1():
-    return radial_ground_state(1, 4.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def gs2():
-    return radial_ground_state(2, 4.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def gs3():
-    return radial_ground_state(3, 4.0, 1.0)
 
 
 def test_criterion_01_gauge_closed_form():

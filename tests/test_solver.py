@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -28,21 +29,6 @@ from magnls.solver import (
 PARAMS2 = FunctionalParams(p=4.0, lam=1.0, dim=2)
 
 
-@pytest.fixture(scope="module")
-def gs1():
-    return radial_ground_state(1, 4.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def gs2():
-    return radial_ground_state(2, 4.0, 1.0)
-
-
-@pytest.fixture(scope="module")
-def gs3():
-    return radial_ground_state(3, 4.0, 1.0)
-
-
 # ---------------------------------------------------------------------------
 # Shooting
 # ---------------------------------------------------------------------------
@@ -57,6 +43,26 @@ def test_soliton_oracle_1d(gs1):
     assert gs1.normp**4 == pytest.approx(16.0 / 3.0, rel=1e-8)
     assert gs1.energy == pytest.approx(4.0 / 3.0, rel=1e-7)
     assert gs1.c_inf == pytest.approx(4.0 / 3.0, rel=1e-8)
+    # the DOP853 shots hold the closed form much tighter than the 1e-9 above
+    assert abs(gs1.u0 - np.sqrt(2.0)) <= 1e-12
+    assert gs1.c_inf == pytest.approx(4.0 / 3.0, rel=1e-11)
+
+
+@pytest.mark.parametrize("N, shots", [(1, 42), (2, 44), (3, 48)])
+def test_shot_count(N, shots, monkeypatch):
+    from magnls import solver
+
+    calls = []
+    solve_ivp = solver.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "solve_ivp", counted)
+    radial_ground_state(N, 4.0, 1.0)
+    assert len(calls) == shots
+    assert set(calls) == {"DOP853"}
 
 
 def test_nehari_identity_3d(gs3):
@@ -274,23 +280,31 @@ def test_condition_Bprime_and_V(gs2):
 
 
 def test_condition_disagreement_is_a_numerical_failure(gs2, monkeypatch, tmp_path):
-    from magnls import solver
+    from magnls import cli, solver
     from magnls.cli import run
 
     # ||B||_inf a few ulps from threshold_B, where sigma < sigma_max and
-    # ||B||_inf < threshold_B round to different answers
+    # ||B||_inf < threshold_B round to different answers.  Whether such a b
+    # exists depends on the last bits of ||w||_p, so the ground state is moved
+    # by a few ulps of normp until one does.
     p = PARAMS2.p
-    M = gs2.normp**p
     mom2 = solver._second_moment(gs2)
     sigma_max = 2.0 ** ((p - 2.0) / p) - 1.0
-    threshold = float(np.sqrt(sigma_max * M / mom2))
-    candidates = threshold + np.arange(-8, 9) * np.spacing(threshold)
-    split = [float(b) for b in candidates if (b**2 * mom2 / M < sigma_max) != (b < threshold)]
+    split = []
+    for j in sorted(range(-32, 33), key=abs):
+        gs = dataclasses.replace(gs2, normp=gs2.normp + j * np.spacing(gs2.normp))
+        M = gs.normp**p
+        threshold = float(np.sqrt(sigma_max * M / mom2))
+        candidates = threshold + np.arange(-8, 9) * np.spacing(threshold)
+        split = [float(b) for b in candidates if (b**2 * mom2 / M < sigma_max) != (b < threshold)]
+        if split:
+            break
     assert split
     monkeypatch.setattr(solver, "b_sup_norm", lambda B: split[0])
     with pytest.raises(RuntimeError, match="disagree"):
-        condition_report(field_library("zero"), gs2, PARAMS2)
+        condition_report(field_library("zero"), gs, PARAMS2)
 
+    monkeypatch.setattr(cli, "radial_ground_state", lambda *args, **kwargs: gs)
     out = tmp_path / "c"
     code = run([
         "conditions", "--field", "zero", "--dim", "2", "--p", "4", "--lambda", "1",
