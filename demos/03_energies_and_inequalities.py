@@ -51,11 +51,7 @@ print("variational exactness <S*S u, u> = E_A(u):")
 rng = np.random.default_rng(0)
 g = Grid(4.0, 65, dim=2)
 w = ComplexField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
-import warnings
-
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    E = energy_EA(w, landau)
+E = energy_EA(w, landau)
 print("  relative defect:", abs(inner(g, magnetic_laplacian(w, landau), w.values).real - E) / E)
 
 print("Euler-Lagrange residual of the exact 1D solution w = sqrt(2) sech x:")
@@ -63,7 +59,5 @@ params1 = FunctionalParams(p=4.0, lam=1.0, dim=1)
 for n in (513, 1025):
     g1 = Grid(16.0, n, dim=1)
     w1 = ComplexField(g1, np.sqrt(2.0) / np.cosh(g1.axes[0]))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, nrm = el_residual(w1, field_library("zero", dim=1), params1)
+    _, nrm = el_residual(w1, field_library("zero", dim=1), params1)
     print(f"  n = {n}: residual norm = {nrm:.3e}  (quarters when h halves)")

@@ -9,14 +9,13 @@ diagnostic report still written).
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import asdict
 
 import numpy as np
 
 from . import io as mio
 from .calculus import (
-    BoundaryMassWarning,
+    BOUNDARY_MASS_TOL,
     FunctionalParams,
     Grid,
     RealField,
@@ -226,7 +225,7 @@ def _run_conditions(args) -> int:
     params = _functional_params(args, grid)
     gs = radial_ground_state(args.dim, args.p, args.lam)
     rep = condition_report(A, gs, params, window=max(grid.extents), grid=grid, lambda0=True)
-    doc = rep.as_dict()
+    doc = asdict(rep)
     doc["tolerances"] = {"vanishing_at_infinity": 1e-6}
     mio.write_json(doc, os.path.join(out, "conditions.json"))
     _manifest(args, out)
@@ -251,6 +250,7 @@ def _run_landscape(args) -> int:
         "eta_matches": land.eta_matches,
         "R": land.R,
         "T": land.T,
+        "boundary_mass": land.boundary_mass,
         "grid": mio.grid_header(grid),
     }
     mio.write_json(doc, os.path.join(out, "landscape.json"))
@@ -273,6 +273,7 @@ def _run_solve(args) -> int:
     doc = {
         "level": res.level,
         "residual_norm": {"value": res.residual_norm, "tol": args.tol},
+        "boundary_mass": {"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL},
         "iterations": res.iterations,
         "converged": res.converged,
         "stalled": res.stalled,
@@ -356,9 +357,7 @@ def run(argv) -> int:
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryMassWarning)
-            return _RUNNERS[args.command](args)
+        return _RUNNERS[args.command](args)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,14 +9,13 @@ satisfy.
 """
 
 import json
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .calculus import (
-    BoundaryMassWarning,
+    BOUNDARY_MASS_TOL,
     ComplexField,
     Grid,
     bump,
@@ -112,10 +111,8 @@ def local_mass_sup(u: ComplexField, xi: Discretization, p: float) -> dict:
             best_val = val
             best_point = z
     total = float(np.sum(dens))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        zero = np.zeros((grid.dim,) + grid.shape)
-        h_norm2 = energy_EA(u, zero) + lp_norm(u, 2.0) ** 2
+    zero = np.zeros((grid.dim,) + grid.shape)
+    h_norm2 = energy_EA(u, zero) + lp_norm(u, 2.0) ** 2
     mult = xi.multiplicity_bound()
     denom = mult * h_norm2 * best_val ** (1.0 - 2.0 / p) if best_val > 0 else np.inf
     ratio = total / denom if denom > 0 else 0.0
@@ -364,16 +361,9 @@ def extract_profiles(
         )
     ]
     remainders = [ComplexField(grid, u.values - v0.values) for u in seq]
-    return _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask)
-
-
-def _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask):
-    K = len(seq)
-    grid = seq[0].grid
-    p_scan = opts.p
 
     for n in range(1, opts.max_profiles + 1):
-        scans = [local_mass_sup(r, xi, p_scan) for r in remainders]
+        scans = [local_mass_sup(r, xi, opts.p) for r in remainders]
         tail_vals = [s["value"] for s in scans[K - opts.tail_window:]]
         if max(tail_vals) < opts.eps_mass:
             break
@@ -439,7 +429,7 @@ def _extract_loop(seq, remainders, terms, warnings_list, A, xi, opts, wmask):
             )
         )
 
-    final_scans = [local_mass_sup(r, xi, p_scan) for r in remainders[K - opts.tail_window:]]
+    final_scans = [local_mass_sup(r, xi, opts.p) for r in remainders[K - opts.tail_window:]]
     success = max(s["value"] for s in final_scans) < opts.eps_mass and all(t.converged for t in terms)
     remainder_lp = [lp_norm(r, opts.p) for r in remainders]
     return Decomposition(
@@ -484,13 +474,13 @@ def verify_decomposition(
     l2_terms = sum(lp_norm(t.profile, 2.0) ** 2 for t in dec.terms)
     l2_slack = l2_tail - l2_terms
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        e_tail = min(energy_EA(u, A) for u in seq[K // 2:])
-        e_terms = 0.0
-        for t in dec.terms:
-            e_terms += energy_EA(t.profile, A if t.index == 0 else t.a_inf)
+    e_tail = min(energy_EA(u, A) for u in seq[K // 2:])
+    e_terms = 0.0
+    for t in dec.terms:
+        e_terms += energy_EA(t.profile, A if t.index == 0 else t.a_inf)
     energy_slack = e_tail - e_terms
+    compared = seq[K // 2:] + [t.profile for t in dec.terms]
+    bmass = max(f.boundary_mass_fraction() for f in compared)
 
     separations = {}
     moving = [t for t in dec.terms if t.index != 0]
@@ -514,5 +504,6 @@ def verify_decomposition(
         "tol": tol,
         "l2_ok": bool(l2_slack >= -tol),
         "energy_ok": bool(energy_slack >= -tol),
+        "boundary_mass": {"value": bmass, "tol": BOUNDARY_MASS_TOL},
         "n_moving_terms": len(moving),
     }

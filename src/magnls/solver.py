@@ -5,7 +5,6 @@ everything downstream (the smallness condition on B, the two-sided level
 bracket, critical-point search) is phrased against that oracle.
 """
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -15,7 +14,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import LinearOperator, minres
 
 from .calculus import (
-    BoundaryMassWarning,
+    BOUNDARY_MASS_TOL,
     ComplexField,
     FunctionalParams,
     Grid,
@@ -31,7 +30,7 @@ from .calculus import (
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import MassLossError, QuadratureError, make_shift, potential_at_infinity, shift_apply
+from .gauge import MassLossError, QuadratureError, make_shift, potential_at_infinity, shift_apply, shift_invert
 
 __all__ = [
     "GroundState",
@@ -332,9 +331,7 @@ def minimize_constrained(
 
     def value_of(vals):
         f = ComplexField(grid, vals)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryMassWarning)
-            return energy_EA(f, Avals) + float(np.sum(W * Vvals * np.abs(vals) ** 2))
+        return energy_EA(f, Avals) + float(np.sum(W * Vvals * np.abs(vals) ** 2))
 
     def grad_of(vals):
         f = ComplexField(grid, vals)
@@ -427,22 +424,7 @@ class ConditionReport:
     holds_V: Optional[bool]
     lambda0_estimate: Optional[float]
     moment2: float
-
-    def as_dict(self) -> dict:
-        out = {
-            "sigma": self.sigma,
-            "b_sup": self.b_sup,
-            "threshold_B": self.threshold_B,
-            "threshold_sigma": self.threshold_sigma,
-            "holds_B": self.holds_B,
-            "holds_A": self.holds_A,
-            "trajectory_evidence": self.trajectory_evidence,
-            "holds_Bprime": self.holds_Bprime,
-            "holds_V": self.holds_V,
-            "lambda0_estimate": self.lambda0_estimate,
-            "moment2": self.moment2,
-        }
-        return out
+    boundary_mass: Optional[dict]  # of the lambda0 iterate, {"value", "tol"}
 
 
 def _second_moment(gs: GroundState) -> float:
@@ -525,10 +507,12 @@ def condition_report(
         holds_V = bool(np.min(params.V.values) >= params.lam - 1e-12)
 
     lam0 = None
+    bmass = None
     if lambda0:
         g = grid if grid is not None else Grid(8.0, 65, dim=A.dim)
         res = minimize_constrained(A, params, g, mode="lambda0", max_iters=1500)
         lam0 = res.value
+        bmass = {"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL}
 
     return ConditionReport(
         sigma=float(sigma),
@@ -542,6 +526,7 @@ def condition_report(
         holds_V=holds_V,
         lambda0_estimate=lam0,
         moment2=float(mom2),
+        boundary_mass=bmass,
     )
 
 
@@ -562,6 +547,7 @@ class LandscapeResult:
     eta_matches: list
     R: float
     T: float
+    boundary_mass: dict  # largest over the shifted profiles g_y w, {"value", "tol"}
 
     @property
     def max_point(self) -> np.ndarray:
@@ -636,22 +622,22 @@ def landscape_eval(
     t_max = np.empty(len(y_points))
     values = np.empty(len(y_points))
     etas = np.empty((len(y_points), grid.dim + 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        for i, y in enumerate(y_points):
-            gu = shift_apply(make_shift(A, y, grid, max_loss=0.5), w)
-            J = functional_J(gu, prep, params)
-            M = lp_norm(gu, p) ** p
-            tbar, peak = _ray_peak(J, M, p)
-            if tbar > T:
-                raise RayRisingError(
-                    f"ray through y={y.tolist()} still rising at t = T = {T} "
-                    f"(peak at t = {tbar:.3f}); increase T"
-                )
-            t_max[i] = tbar
-            values[i] = peak
-            etas[i] = eta_map(gu, params)
-        del gu  # freed before the 129^dim curl below, which sets peak memory in 3-D
+    bmass = 0.0
+    for i, y in enumerate(y_points):
+        gu = shift_apply(make_shift(A, y, grid, max_loss=0.5), w)
+        J = functional_J(gu, prep, params)
+        M = lp_norm(gu, p) ** p
+        tbar, peak = _ray_peak(J, M, p)
+        if tbar > T:
+            raise RayRisingError(
+                f"ray through y={y.tolist()} still rising at t = T = {T} "
+                f"(peak at t = {tbar:.3f}); increase T"
+            )
+        t_max[i] = tbar
+        values[i] = peak
+        etas[i] = eta_map(gu, params)
+        bmass = max(bmass, gu.boundary_mass_fraction())
+    del gu  # freed before the 129^dim curl below, which sets peak memory in 3-D
 
     imax = int(np.argmax(values))
     cmax = float(values[imax])
@@ -701,6 +687,7 @@ def landscape_eval(
         eta_matches=matches,
         R=float(R),
         T=float(T),
+        boundary_mass={"value": bmass, "tol": BOUNDARY_MASS_TOL},
     )
 
 
@@ -729,22 +716,20 @@ def two_bump_diagnostic(
     w = gs.on_grid(grid)
     prep = prepare_potential(A, grid)
     rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        for axis in range(grid.dim):
-            d = np.zeros(grid.dim)
-            d[axis] = R
-            g_minus = make_shift(A, -d, grid, max_loss=0.5)
-            g_plus = make_shift(A, d, grid, max_loss=0.5)
-            left = shift_apply(g_minus, w).values
-            right = shift_apply(g_plus, w).values
-            for s in np.linspace(0.0, 1.0, n_mix):
-                mix = np.cos(0.5 * np.pi * s) * left + np.sin(0.5 * np.pi * s) * right
-                u = ComplexField(grid, mix)
-                J = functional_J(u, prep, params)
-                M = lp_norm(u, p) ** p
-                _, peak = _ray_peak(J, M, p)
-                rows.append({"axis": axis, "mix": float(s), "peak": float(peak)})
+    for axis in range(grid.dim):
+        d = np.zeros(grid.dim)
+        d[axis] = R
+        g_minus = make_shift(A, -d, grid, max_loss=0.5)
+        g_plus = make_shift(A, d, grid, max_loss=0.5)
+        left = shift_apply(g_minus, w).values
+        right = shift_apply(g_plus, w).values
+        for s in np.linspace(0.0, 1.0, n_mix):
+            mix = np.cos(0.5 * np.pi * s) * left + np.sin(0.5 * np.pi * s) * right
+            u = ComplexField(grid, mix)
+            J = functional_J(u, prep, params)
+            M = lp_norm(u, p) ** p
+            _, peak = _ray_peak(J, M, p)
+            rows.append({"axis": axis, "mix": float(s), "peak": float(peak)})
     return {"R": R, "rows": rows, "max_peak": max(r["peak"] for r in rows), "c_inf": gs.c_inf}
 
 
@@ -808,6 +793,23 @@ def _residual_operator(u_vals, Avals, Vvals, p, grid):
     return apply
 
 
+def _recentered(A: PotentialField, u: ComplexField) -> Optional[ComplexField]:
+    """g_z^{-1} u for z the lattice point nearest the mass centroid of u.
+
+    The exact inverse ``shift_invert`` undoes a bump placed at z by g_z in
+    every gauge; a bare g_{-z} does so only up to a constant phase, and only
+    in gauges like landau.  None when z = 0 or the shift fails.
+    """
+    grid = u.grid
+    steps = np.round(_centroid(u) / np.array(grid.h)).astype(int)
+    if np.all(steps == 0):
+        return None
+    try:
+        return shift_invert(make_shift(A, steps * np.array(grid.h), grid, max_loss=0.5), u)
+    except (MassLossError, QuadratureError):
+        return None
+
+
 def critical_point_search(
     A: PotentialField,
     params: FunctionalParams,
@@ -843,15 +845,11 @@ def critical_point_search(
         return z / sqw
 
     def residual(u_vals):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryMassWarning)
-            r, nrm = el_residual(ComplexField(grid, u_vals), Avals, params)
+        r, nrm = el_residual(ComplexField(grid, u_vals), Avals, params)
         return r.values, nrm
 
     def level_of(u_vals):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryMassWarning)
-            return functional_I(ComplexField(grid, u_vals), Avals, params)
+        return functional_I(ComplexField(grid, u_vals), Avals, params)
 
     u = seed.values.astype(complex).copy()
     r_vals, r_norm = residual(u)
@@ -864,26 +862,18 @@ def critical_point_search(
         )
 
     def recenter(u_vals, cur_norm):
-        """Jump along the symmetry orbit: shift the bump's mass centroid back to the
-        nearest lattice-aligned center when that lowers the residual.
+        """Jump along the symmetry orbit (``_recentered``) when that lowers the residual.
 
         Newton steps crawl across the near-flat translation valley; a magnetic
         shift covers the same ground in one move and is accepted only as a
         strict merit decrease.
         """
-        c = _centroid(ComplexField(grid, u_vals))
-        steps = np.round(c / np.array(grid.h)).astype(int)
-        if np.all(steps == 0):
+        moved = _recentered(A, ComplexField(grid, u_vals))
+        if moved is None:
             return None
-        z = steps * np.array(grid.h)
-        try:
-            g = make_shift(A, -z, grid, max_loss=0.5)
-            cand = shift_apply(g, ComplexField(grid, u_vals)).values
-        except (MassLossError, QuadratureError):
-            return None
-        c_vals, c_norm = residual(cand)
+        c_vals, c_norm = residual(moved.values)
         if c_norm < 0.995 * cur_norm:
-            return cand, c_vals, c_norm
+            return moved.values, c_vals, c_norm
         return None
 
     pre = _poisson_solver(grid, Vvals)

@@ -1,10 +1,7 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from magnls.calculus import (
-    BoundaryMassWarning,
     ComplexField,
     FunctionalParams,
     Grid,
@@ -159,13 +156,6 @@ def test_energy_zero_field_is_zero():
     assert energy_EA(u, A0) == 0.0
 
 
-def test_energy_warns_on_boundary_mass():
-    g = Grid(2.0, 33, dim=2)
-    u = bump(g, width=2.0)
-    with pytest.warns(BoundaryMassWarning):
-        energy_EA(u, A0)
-
-
 def test_lp_norms_gaussian():
     g = gaussian_grid()
     u = bump(g, width=1.0)
@@ -249,9 +239,7 @@ def test_summation_by_parts_identity(seed):
     u = random_field(g, rng)
     L = magnetic_laplacian(u, A)
     lhs = inner(g, L, u.values).real
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        E = energy_EA(u, A)
+    E = energy_EA(u, A)
     assert abs(lhs - E) <= 1e-12 * E
 
 
@@ -261,9 +249,7 @@ def test_summation_by_parts_identity_3d():
     A = field_library("landau", b=0.4, dim=3)
     u = random_field(g, rng)
     lhs = inner(g, magnetic_laplacian(u, A), u.values).real
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        E = energy_EA(u, A)
+    E = energy_EA(u, A)
     assert abs(lhs - E) <= 1e-12 * E
 
 
@@ -403,9 +389,7 @@ def test_el_residual_sech_soliton_quartering():
     for n in (513, 1025):
         g = Grid(16.0, n, dim=1)
         w = ComplexField(g, np.sqrt(2.0) / np.cosh(g.axes[0]))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", BoundaryMassWarning)
-            _, nrm = el_residual(w, A1, params)
+        _, nrm = el_residual(w, A1, params)
         norms.append(nrm)
     assert 3.5 <= norms[0] / norms[1] <= 4.5
 

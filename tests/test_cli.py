@@ -68,6 +68,7 @@ def test_landscape_subcommand(tmp_path):
     assert code == 0
     doc = read_json(out / "landscape.json")
     assert doc["bracket"]["lower_ok"] and doc["bracket"]["upper_ok"]
+    assert doc["boundary_mass"]["tol"] == 1e-6
     surface = np.loadtxt(out / "surface.csv", delimiter=",", skiprows=1)
     assert surface.shape[1] == 4  # y1, y2, t_max, I_value
     with open(out / "surface.csv") as fh:
@@ -111,8 +112,32 @@ def test_profiles_subcommand(tmp_path):
     assert doc["n_terms"] == 3
     assert doc["success"] is True
     assert doc["verification"]["mass_defect"] <= 0.02
+    bm = doc["verification"]["boundary_mass"]
+    assert bm["value"] <= bm["tol"] == 1e-6
     for idx in range(3):
         assert os.path.exists(out / f"profile_{idx}.csv")
+
+
+def test_readme_configs_record_boundary_mass(tmp_path):
+    # README conditions case: the lambda0 iterate spreads to the window edge
+    # (fraction 1.8e-5), and the report says so
+    out = tmp_path / "c"
+    code = run([
+        "conditions", "--field", "gauss:b0=0.3,s=1", "--dim", "2", "--p", "4", "--lambda", "1",
+        "--out", str(out),
+    ])
+    assert code == 0
+    bm = read_json(out / "conditions.json")["boundary_mass"]
+    assert bm["value"] > bm["tol"] == 1e-6
+    # README solve case: the critical point sits well inside the window (5.0e-13)
+    out = tmp_path / "s"
+    code = run([
+        "solve", "--field", "landau:b=0.5", "--dim", "2", "--p", "4", "--lambda", "1",
+        "--R", "2", "--T", "3", "--out", str(out),
+    ])
+    assert code == 0
+    bm = read_json(out / "solve.json")["boundary_mass"]
+    assert 0.0 <= bm["value"] < bm["tol"] == 1e-6
 
 
 def test_reproducibility_byte_identical(tmp_path):

@@ -5,13 +5,11 @@ parameters, and random complex u drawn from a seeded generator.  The runs
 are derandomized, so every run draws the same examples.
 """
 
-import warnings
-
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnls.calculus import BoundaryMassWarning, ComplexField, Grid, energy_EA, inner, magnetic_laplacian
+from magnls.calculus import ComplexField, Grid, energy_EA, inner, magnetic_laplacian
 from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply, shift_invert
 
@@ -47,9 +45,7 @@ def cases(draw):
 @given(cases())
 def test_laplacian_form_equals_energy(case):
     grid, A, u = case
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", BoundaryMassWarning)
-        energy = energy_EA(u, A)
+    energy = energy_EA(u, A)
     form = inner(grid, magnetic_laplacian(u, A), u.values)
     assert abs(form - energy) <= 1e-12 * energy
 

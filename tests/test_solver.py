@@ -9,13 +9,16 @@ from magnls.calculus import (
     FunctionalParams,
     Grid,
     bump,
+    energy_EA,
     functional_I,
     functional_J,
     lp_norm,
     prepare_potential,
 )
 from magnls.field import field_library
+from magnls.gauge import make_shift, shift_apply
 from magnls.solver import (
+    _recentered,
     condition_report,
     critical_point_search,
     landscape_eval,
@@ -232,6 +235,7 @@ def test_condition_report_zero_field(gs2):
     assert rep.sigma == 0.0
     assert rep.holds_B
     assert rep.holds_A
+    assert rep.boundary_mass is None  # no lambda0 iterate to measure
 
 
 def test_condition_sigma_formula_landau(gs2):
@@ -336,6 +340,15 @@ def test_landscape_free_field_flat(gs2):
     assert np.all(land.seed_point == 0.0)
 
 
+def test_landscape_records_largest_boundary_mass(gs2):
+    grid = Grid(8.0, 129, dim=2)
+    A = field_library("landau", b=0.5)
+    land = landscape_eval(A, gs2, PARAMS2, grid, R=3.0, T=3.0, y_step=1.0)
+    w = gs2.on_grid(grid)
+    fractions = [shift_apply(make_shift(A, y, grid, max_loss=0.5), w).boundary_mass_fraction() for y in land.y_points]
+    assert land.boundary_mass == {"value": max(fractions), "tol": 1e-6}
+
+
 def test_landscape_bracket_landau(gs2):
     grid = Grid(8.0, 129, dim=2)
     land = landscape_eval(field_library("landau", b=0.5), gs2, PARAMS2, grid, R=3.0, T=3.0, y_step=0.5)
@@ -414,6 +427,21 @@ def test_search_landau_bracket(gs2):
     assert res.residual_norm < 1e-4
     assert gs2.c_inf < res.level < 2.0 * gs2.c_inf
     assert res.bracket["inside"]
+
+
+@pytest.mark.parametrize("tag", ["landau", "symmetric"])
+def test_recenter_inverts_the_placing_shift(tag):
+    # a bump placed at z by g_z comes back under g_z^{-1} in every gauge; a
+    # bare g_{-z} leaves a non-constant phase in the symmetric gauge (energy
+    # 4.662 instead of 3.331)
+    grid = Grid(8.0, 129, dim=2)
+    A = field_library(tag, b=0.5)
+    u = bump(grid, width=1.0)
+    assert _recentered(A, u) is None
+    placed = shift_apply(make_shift(A, (1.5, 0.75), grid), u)
+    moved = _recentered(A, placed)
+    assert np.max(np.abs(moved.values - u.values)) <= 1e-8
+    assert energy_EA(moved, A) == pytest.approx(energy_EA(u, A), rel=1e-9)
 
 
 def test_search_rejects_prepared_potential():
