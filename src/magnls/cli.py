@@ -276,6 +276,7 @@ def _run_solve(args) -> int:
         "boundary_mass": {"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL},
         "iterations": res.iterations,
         "converged": res.converged,
+        "minres_unconverged": sum(1 for info in res.minres_info if info != 0),
         "stalled": res.stalled,
         "trivial": res.trivial,
         "bracket": res.bracket,

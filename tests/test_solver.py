@@ -13,11 +13,13 @@ from magnls.calculus import (
     functional_I,
     functional_J,
     lp_norm,
+    magnetic_laplacian,
     prepare_potential,
 )
 from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply
 from magnls.solver import (
+    _block_preconditioner,
     _recentered,
     condition_report,
     critical_point_search,
@@ -199,6 +201,16 @@ def test_minimize_preconditioned_converges_fast(tag, kwargs, mode, max_iters, re
     assert res.converged
     assert res.iterations <= 60
     assert abs(res.value - reference) <= 1e-8 * abs(reference)
+
+
+def test_minimize_readme_lambda0_iterations():
+    # the full-window DST takes 15 iterations on the README `conditions`
+    # lambda0 case; the interior-block form of the search takes 37
+    grid = Grid(8.0, 129, dim=2)
+    A = field_library("gaussian_decay", b0=0.3, s=1.0)
+    res = minimize_constrained(A, PARAMS2, grid, mode="lambda0", max_iters=1500)
+    assert res.converged
+    assert res.iterations <= 20
 
 
 def test_minimize_trace_monotone():
@@ -456,6 +468,63 @@ def test_search_reports_stall_without_exception():
     # a deliberately hopeless budget must report, not raise
     grid = Grid(8.0, 65, dim=2)
     seed = bump(grid, width=1.0, amplitude=3.0)
-    res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-14, max_iters=2, inner_iters=5)
+    res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-14, max_iters=2, inner_iters=1)
     assert not res.converged
     assert len(res.trace) >= 1
+    # MINRES hits its one-step cap at every Newton step, and the result says so
+    assert len(res.minres_info) == res.iterations
+    assert sum(1 for info in res.minres_info if info != 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# MINRES preconditioner of the search
+# ---------------------------------------------------------------------------
+
+PRECOND_GRIDS = [Grid(4.0, 17, dim=2), Grid(4.0, 9, dim=3)]
+
+
+def _packed_operator(grid, A, V):
+    """K x = sqrt(W) (magnetic Laplacian + V) (x / sqrt(W)) on (Re, Im)-stacked vectors, as MINRES sees it."""
+    prep = prepare_potential(A, grid)
+    sqw = np.sqrt(grid.weights())
+    size = sqw.size
+
+    def apply(x):
+        z = (x[:size] + 1j * x[size:]).reshape(grid.shape) / sqw
+        out = sqw * (magnetic_laplacian(ComplexField(grid, z), prep) + V * z)
+        return np.concatenate((out.real.ravel(), out.imag.ravel()))
+
+    return apply
+
+
+@pytest.mark.parametrize("grid", PRECOND_GRIDS, ids=["2d", "3d"])
+@pytest.mark.parametrize("tag, kwargs", [("zero", {}), ("landau", {"b": 0.5})])
+def test_block_preconditioner_symmetric_positive(grid, tag, kwargs):
+    # on random vectors and on the operator images MINRES feeds it
+    V = np.full(grid.shape, PARAMS2.lam)
+    P = _block_preconditioner(grid, V)
+    K = _packed_operator(grid, field_library(tag, dim=grid.dim, **kwargs), V)
+    rng = np.random.default_rng(11)
+    size = 2 * int(np.prod(grid.shape))
+    vecs = [rng.standard_normal(size) for _ in range(4)]
+    vecs += [K(v) for v in vecs]
+    for x, y in zip(vecs, vecs[1:]):
+        pxy, xpy = float(np.dot(P(x), y)), float(np.dot(x, P(y)))
+        assert abs(pxy - xpy) <= 1e-12 * abs(pxy)
+    for x in vecs:
+        assert float(np.dot(P(x), x)) > 0.0
+
+
+@pytest.mark.parametrize("grid", PRECOND_GRIDS, ids=["2d", "3d"])
+def test_block_preconditioner_exact_on_interior(grid):
+    # with A = 0 and constant V the interior block is the Dirichlet Laplacian
+    # plus V, which the interior DST inverts exactly
+    V = np.full(grid.shape, PARAMS2.lam)
+    P = _block_preconditioner(grid, V)
+    K = _packed_operator(grid, field_library("zero", dim=grid.dim), V)
+    rng = np.random.default_rng(5)
+    u = np.zeros((2,) + grid.shape)
+    inner = (slice(None),) + (slice(1, -1),) * grid.dim
+    u[inner] = rng.standard_normal(u[inner].shape)
+    back = P(K(u.ravel())).reshape(u.shape)
+    assert np.max(np.abs(back[inner] - u[inner])) <= 1e-12 * np.max(np.abs(u))
