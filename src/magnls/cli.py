@@ -305,14 +305,15 @@ def _run_profiles(args) -> int:
         spec.noise_seed = args.seed
     seq, truth = synthesize_sequence(spec, grid, K)
     ex = doc.get("extract", {})
-    opts = ExtractOpts(
-        eps_mass=float(ex.get("eps_mass", 1e-3)),
-        max_profiles=int(ex.get("max_profiles", 6)),
-        tail_window=int(ex.get("tail_window", 3)),
-        agree_tol=float(ex.get("agree_tol", 5e-2)),
-        window_radius=float(ex.get("window_radius", 6.0)),
-        p=float(ex.get("p", 4.0)),
-    )
+    casts = {
+        "eps_mass": float,
+        "max_profiles": int,
+        "tail_window": int,
+        "agree_tol": float,
+        "window_radius": float,
+        "p": float,
+    }
+    opts = ExtractOpts(**{key: cast(ex[key]) for key, cast in casts.items() if key in ex})
     xi = Discretization.cubic(grid, rho=float(ex.get("rho", 1.0)))
     dec = extract_profiles(seq, spec.field, xi, opts)
     params = FunctionalParams(p=opts.p, lam=1.0, dim=dim)

@@ -78,16 +78,6 @@ class TwoForm:
     components: dict  # (m, n) with m < n, 1-based -> ndarray over the window
     sup_norms: dict  # (m, n) -> float
 
-    def component(self, m: int, n: int) -> np.ndarray:
-        if m == n:
-            return np.zeros_like(next(iter(self.components.values())))
-        if m < n:
-            return self.components[(m, n)]
-        return -self.components[(n, m)]
-
-    def sup_norm(self) -> float:
-        return b_sup_norm(self)
-
 
 def _normalize_window(window, dim: int):
     """Accept a scalar half-width or a sequence of (lo, hi) pairs."""

@@ -32,6 +32,7 @@ __all__ = [
     "SyntheticSpec",
     "ProfileSpec",
     "local_mass_sup",
+    "covering_chain_ratio",
     "synthesize_sequence",
     "extract_profiles",
     "verify_decomposition",
@@ -41,12 +42,18 @@ __all__ = [
 
 @dataclass
 class Discretization:
-    """Scan lattice: points at spacing rho whose rho_cover-balls cover the window."""
+    """Scan lattice: points at spacing rho whose rho_cover-balls cover the window.
+
+    Each ball is stored as flat indices into the grid zero-padded by ``pad``
+    nodes per axis, so nodes a ball reaches outside the window count zero.
+    """
 
     grid: Grid
     rho: float
     rho_cover: float
     points: np.ndarray  # (M, dim)
+    pad: tuple  # padding nodes per axis
+    flat: np.ndarray  # (M, B) ball node indices into the padded, raveled grid
 
     @classmethod
     def cubic(cls, grid: Grid, rho: float) -> "Discretization":
@@ -55,7 +62,8 @@ class Discretization:
         rho must be a multiple of the grid spacing so detected centers are
         valid shift vectors.  The covering radius rho sqrt(dim)/2 (plus 1e-12)
         is the smallest that covers space; the covering multiplicity of the
-        doubled radius stays below 2^dim.
+        doubled radius stays below 2^dim.  A ball holds the node offsets o
+        with |o h| <= rho_cover around its center node.
         """
         for h in grid.h:
             k = rho / h
@@ -65,64 +73,56 @@ class Discretization:
         ranges = [np.arange(-int(np.floor(L / rho)), int(np.floor(L / rho)) + 1) * rho for L in grid.extents]
         pts = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
         order = np.lexsort(tuple(pts[:, i] for i in range(grid.dim - 1, -1, -1)))
-        return cls(grid=grid, rho=rho, rho_cover=rho_cover, points=pts[order])
+        pts = pts[order]
+        h = np.asarray(grid.h)
+        pad = tuple(int(np.floor(rho_cover / hi)) for hi in h)
+        reach = [np.arange(-r, r + 1) for r in pad]
+        offsets = np.stack(np.meshgrid(*reach, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+        offsets = offsets[np.sum((offsets * h) ** 2, axis=1) <= rho_cover**2]
+        centers = np.rint((pts + np.asarray(grid.extents)) / h).astype(int) + np.asarray(pad)
+        nodes = centers[:, None, :] + offsets[None, :, :]
+        padded = tuple(n + 2 * r for n, r in zip(grid.n, pad))
+        flat = np.ravel_multi_index(tuple(np.moveaxis(nodes, -1, 0)), padded)
+        return cls(grid=grid, rho=rho, rho_cover=rho_cover, points=pts, pad=pad, flat=flat)
 
     def multiplicity_bound(self) -> int:
         """Crude bound on how many cover balls can share a point."""
         return int(np.ceil(2.0 * self.rho_cover / self.rho + 1.0)) ** self.grid.dim
 
-    def ball_patches(self) -> list:
-        """Per lattice point: (box slices, in-ball mask on the box); cached."""
-        if getattr(self, "_patches", None) is None:
-            grid = self.grid
-            axes = grid.axes
-            patches = []
-            for z in self.points:
-                slices = []
-                for ax, (zi, h, L, ni) in enumerate(zip(z, grid.h, grid.extents, grid.n)):
-                    lo = max(0, int(np.ceil((zi - self.rho_cover + L) / h - 1e-12)))
-                    hi = min(ni - 1, int(np.floor((zi + self.rho_cover + L) / h + 1e-12)))
-                    slices.append(slice(lo, hi + 1))
-                box = tuple(slices)
-                coords = np.meshgrid(*[axes[ax][box[ax]] for ax in range(grid.dim)], indexing="ij")
-                r2 = sum((c - zi) ** 2 for c, zi in zip(coords, z))
-                patches.append((box, r2 <= self.rho_cover**2))
-            self._patches = patches
-        return self._patches
+    def ball_masses(self, dens: np.ndarray) -> np.ndarray:
+        """Sum of ``dens`` (a grid-shaped array) over each lattice point's ball, shape (M,)."""
+        return np.pad(dens, [(r, r) for r in self.pad]).ravel()[self.flat].sum(axis=1)
 
 
 def local_mass_sup(u: ComplexField, xi: Discretization, p: float) -> dict:
-    """Largest |u|^p mass in a covering ball, with its (lexicographically
-    smallest) maximizing lattice point.
+    """Largest |u|^p mass in a covering ball, with its maximizing lattice point.
 
-    Also evaluates the covering chain bound
-    ||u||_p^p <= C ||u||_{H_A}^2 sup_z (int_{B(z)} |u|^p)^{1-2/p}
-    in the field-free form, reporting the empirical ratio with C estimated
-    from the covering multiplicity.
+    Ties go to the first lattice point (lexicographic order) whose mass is
+    within 1e-15 max(top, 1) of the largest mass ``top``.
     """
-    grid = u.grid
-    W = grid.weights()
-    dens = W * np.abs(u.values) ** p
-    best_val = -1.0
-    best_point = xi.points[0]
-    for z, (box, mask) in zip(xi.points, xi.ball_patches()):
-        val = float(np.sum(dens[box][mask]))
-        if val > best_val + 1e-15 * max(best_val, 1.0):
-            best_val = val
-            best_point = z
-    total = float(np.sum(dens))
-    zero = np.zeros((grid.dim,) + grid.shape)
-    h_norm2 = energy_EA(u, zero) + lp_norm(u, 2.0) ** 2
-    mult = xi.multiplicity_bound()
-    denom = mult * h_norm2 * best_val ** (1.0 - 2.0 / p) if best_val > 0 else np.inf
-    ratio = total / denom if denom > 0 else 0.0
+    dens = u.grid.weights() * np.abs(u.values) ** p
+    mass = xi.ball_masses(dens)
+    top = float(mass.max())
+    best = int(np.flatnonzero(mass >= top - 1e-15 * max(top, 1.0))[0])
     return {
-        "value": best_val,
-        "argmax": np.asarray(best_point, dtype=float),
-        "total_mass": total,
-        "chain_ratio": float(ratio),
-        "multiplicity_bound": mult,
+        "value": float(mass[best]),
+        "argmax": xi.points[best].copy(),
+        "total_mass": float(np.sum(dens)),
     }
+
+
+def covering_chain_ratio(u: ComplexField, xi: Discretization, p: float) -> float:
+    """Empirical ratio in the covering chain bound
+    ||u||_p^p <= C ||u||_{H_A}^2 sup_z (int_{B(z)} |u|^p)^{1-2/p},
+    in the field-free form with C the covering multiplicity bound; the bound
+    holds when the ratio is at most 1.  It is 0 for u = 0.
+    """
+    scan = local_mass_sup(u, xi, p)
+    if scan["value"] == 0.0:
+        return 0.0
+    zero = np.zeros((u.grid.dim,) + u.grid.shape)
+    h_norm2 = energy_EA(u, zero) + lp_norm(u, 2.0) ** 2
+    return float(scan["total_mass"] / (xi.multiplicity_bound() * h_norm2 * scan["value"] ** (1.0 - 2.0 / p)))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,6 @@ class Decomposition:
     remainders: list  # final remainder fields
     warnings: list
     success: bool
-    report: Optional[dict] = None
 
 
 @dataclass
@@ -296,16 +295,18 @@ def _tail_average(fields: list, grid: Grid, wmask=None) -> ComplexField:
     return ComplexField(grid, acc)
 
 
-def _half_tail_agreement(fields: list, grid: Grid, wmask=None) -> float:
+def _half_tail_agreement(fields: list, grid: Grid, wmask=None):
     """Relative distance of the two half-tail averages, measured inside the
-    profile window: the computable surrogate of local weak convergence."""
+    profile window: the computable surrogate of local weak convergence.
+    Returns it with the full-tail average."""
+    avg = _tail_average(fields, grid, wmask)
     half = len(fields) // 2
     if half == 0:
-        return 0.0
+        return 0.0, avg
     a = _tail_average(fields[:half], grid, wmask)
     b = _tail_average(fields[half:], grid, wmask)
-    scale = max(lp_norm(_tail_average(fields, grid, wmask), 2.0), 1e-30)
-    return lp_norm(ComplexField(grid, a.values - b.values), 2.0) / scale
+    scale = max(lp_norm(avg, 2.0), 1e-30)
+    return lp_norm(ComplexField(grid, a.values - b.values), 2.0) / scale, avg
 
 
 def extract_profiles(
@@ -341,8 +342,7 @@ def extract_profiles(
     wmask = np.sum(pts**2, axis=-1) <= opts.window_radius**2
 
     tail = seq[K - opts.tail_window:]
-    agree0 = _half_tail_agreement(tail, grid, wmask)
-    v0 = _tail_average(tail, grid, wmask)
+    agree0, v0 = _half_tail_agreement(tail, grid, wmask)
     # below the mass that ends extraction there is no stationary part to test
     conv0 = agree0 <= opts.agree_tol or lp_norm(v0, opts.p) ** opts.p < opts.eps_mass
     if not conv0:
@@ -383,12 +383,12 @@ def extract_profiles(
             )
             break
 
-        inverted = []
-        for k in range(K - opts.tail_window, K):
-            g = make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
-            inverted.append(shift_invert(g, remainders[k]))
-        agree = _half_tail_agreement(inverted, grid, wmask)
-        v = _tail_average(inverted, grid, wmask)
+        def shift_to(k):
+            return make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
+
+        tail_shifts = {k: shift_to(k) for k in range(K - opts.tail_window, K)}
+        inverted = [shift_invert(g, remainders[k]) for k, g in tail_shifts.items()]
+        agree, v = _half_tail_agreement(inverted, grid, wmask)
         conv = agree <= opts.agree_tol
         if not conv:
             warnings_list.append(
@@ -413,7 +413,7 @@ def extract_profiles(
         a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
 
         for k in range(K):
-            g = make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
+            g = tail_shifts.pop(k) if k in tail_shifts else shift_to(k)
             shifted = shift_apply(g, v)
             remainders[k] = ComplexField(grid, remainders[k].values - shifted.values)
 

@@ -9,6 +9,7 @@ from magnls.profiles import (
     ExtractOpts,
     ProfileSpec,
     SyntheticSpec,
+    covering_chain_ratio,
     extract_profiles,
     local_mass_sup,
     synthesize_sequence,
@@ -87,7 +88,47 @@ def test_local_mass_single_bump():
     assert np.max(np.abs(rep["argmax"] - np.array([2.0, -1.0]))) <= xi.rho
     # most of the quartic mass sits inside the covering ball
     assert rep["value"] >= 0.5 * rep["total_mass"]
-    assert rep["chain_ratio"] < 1.0  # the covering bound holds with room
+    assert covering_chain_ratio(u, xi, 4.0) < 1.0  # the covering bound holds with room
+
+
+@pytest.mark.parametrize(
+    "grid,rho",
+    [
+        (Grid(4.0, 33, dim=1), 0.5),
+        (Grid((3.0, 2.0), (49, 33)), 0.25),  # rho = 2h
+        (Grid((3.0, 2.0), (49, 33)), 1.0),  # rho = 8h
+        (Grid((3.0, 2.0), (25, 33)), 0.5),  # h = (0.25, 0.125)
+        (Grid((2.0, 1.5, 1.0), (17, 13, 9)), 0.5),
+    ],
+    ids=["1d", "2d-rho2h", "2d-rho8h", "2d-aniso", "3d"],
+)
+def test_ball_masses_match_brute_force(grid, rho):
+    xi = Discretization.cubic(grid, rho=rho)
+    rng = np.random.default_rng(3)
+    dens = rng.random(grid.shape)
+    nodes = grid.nodes()
+    brute = []
+    clipped = 0
+    for z in xi.points:
+        inside = np.sum((nodes - z) ** 2, axis=-1) <= xi.rho_cover**2
+        brute.append(np.sum(dens[inside]))
+        clipped += int(np.count_nonzero(inside) < xi.flat.shape[1])
+    brute = np.array(brute)
+    assert clipped > 0  # balls at the window edge lose nodes
+    np.testing.assert_allclose(xi.ball_masses(dens), brute, rtol=1e-14, atol=0.0)
+    u = ComplexField(grid, (dens / grid.weights()) ** 0.25)
+    rep = local_mass_sup(u, xi, 4.0)
+    assert rep["value"] == pytest.approx(brute.max(), rel=1e-13)
+    assert np.all(rep["argmax"] == xi.points[np.argmax(brute)])
+
+
+def test_local_mass_mirror_tie_goes_to_first_point():
+    g = Grid(8.0, 129, dim=2)
+    xi = Discretization.cubic(g, rho=1.0)
+    left = bump(g, center=(-3.0, 0.0), width=0.6)
+    right = bump(g, center=(3.0, 0.0), width=0.6)
+    rep = local_mass_sup(ComplexField(g, left.values + right.values), xi, 4.0)
+    assert np.all(rep["argmax"] == np.array([-3.0, 0.0]))
 
 
 def test_local_mass_two_bumps_orders_by_mass():
