@@ -124,10 +124,16 @@ class Grid:
         return self._cached("weights", build)
 
     def is_lattice_vector(self, y, tol: float = 1e-9):
-        """Offsets in grid steps when y is an integer multiple of the spacing, else None."""
+        """Offsets in grid steps when y is an integer multiple of the spacing, else None.
+
+        Each entry may miss its multiple by ``tol`` steps.  A non-finite entry
+        raises ``ValueError``.
+        """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         if y.shape != (self.dim,):
             raise ValueError(f"shift vector has shape {y.shape}, expected ({self.dim},)")
+        if not np.all(np.isfinite(y)):
+            raise ValueError(f"lattice vector {y.tolist()} has a non-finite entry")
         steps = []
         for yi, hi in zip(y, self.h):
             k = yi / hi
@@ -135,6 +141,14 @@ class Grid:
                 return None
             steps.append(int(round(k)))
         return tuple(steps)
+
+    def node_index(self, steps) -> np.ndarray:
+        """Node index of the lattice point ``steps`` grid steps from the origin.
+
+        ``steps`` is an integer array of shape (..., dim); the result has the
+        same shape and may fall outside the window.
+        """
+        return np.asarray(steps) + np.array([(ni - 1) // 2 for ni in self.n])
 
 
 def default_grid(dim: int) -> Grid:
@@ -172,9 +186,6 @@ class _GridField:
         inner_sl = tuple(slice(1, -1) for _ in range(self.grid.dim))
         inner_mass = float(np.sum(dens[inner_sl]))
         return (total - inner_mass) / total
-
-    def copy(self):
-        return type(self)(self.grid, self.values.copy())
 
 
 class ComplexField(_GridField):

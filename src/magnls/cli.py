@@ -7,6 +7,7 @@ diagnostic report still written).
 """
 
 import argparse
+import json as _json
 import os
 import sys
 from dataclasses import asdict
@@ -21,7 +22,7 @@ from .calculus import (
     RealField,
     default_grid,
 )
-from .field import curl, parse_field_spec
+from .field import curl, curl_of_samples, parse_field_spec
 from .gauge import (
     MassLossError,
     QuadratureError,
@@ -160,8 +161,6 @@ def _run_gauge(args) -> int:
     bound = linear_bound_check(cp, B)
 
     # curl of the corrected samples against the analytic curl of A at the nodes
-    from .field import curl_of_samples
-
     jac = A.jacobian(grid.nodes())
     sampled = curl_of_samples(cp.samples, grid.h)
     curl_err = 0.0
@@ -293,8 +292,6 @@ def _run_profiles(args) -> int:
     out = _outdir(args)
     with open(args.spec) as fh:
         text = fh.read()
-    import json as _json
-
     doc = _json.loads(text)
     gspec = doc.get("grid", {})
     dim = int(gspec.get("dim", len(gspec.get("L", [1, 1]))))

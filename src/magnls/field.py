@@ -16,6 +16,7 @@ __all__ = [
     "PotentialField",
     "TwoForm",
     "curl",
+    "curl_of_samples",
     "b_sup_norm",
     "field_library",
     "parse_field_spec",

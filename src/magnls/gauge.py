@@ -11,7 +11,6 @@ shifts g_y u = e^{i phi_y} u(. - y) then transport energies between gauges.
 """
 
 from dataclasses import dataclass, field as _dfield
-from typing import Optional
 
 import numpy as np
 
@@ -191,7 +190,7 @@ def _window_index(grid: Grid, y: np.ndarray):
     steps = grid.is_lattice_vector(y)
     if steps is None:
         return None
-    index = tuple(k + (n - 1) // 2 for k, n in zip(steps, grid.n))
+    index = tuple(grid.node_index(steps).tolist())
     return index if all(0 <= j < n for j, n in zip(index, grid.n)) else None
 
 
@@ -349,21 +348,17 @@ class ShiftOp:
     """The gauge-aware translation u -> e^{i(theta + phi_y)} u(. - y).
 
     y is restricted to integer multiples of the grid spacing so the identity
-    checks separate gauge error from interpolation error.
+    checks separate gauge error from interpolation error.  ``factor`` holds
+    e^{i(theta + phi_y)} on the grid.
     """
 
     grid: Grid
     y: np.ndarray
     steps: tuple
     phase: GaugePhase
+    factor: np.ndarray = _dfield(repr=False)
     theta: float = 0.0
     max_loss: float = 1e-6
-    _factor: Optional[np.ndarray] = _dfield(default=None, repr=False)
-
-    def factor(self) -> np.ndarray:
-        if self._factor is None:
-            self._factor = np.exp(1j * (self.theta + self.phase.samples.values))
-        return self._factor
 
 
 def make_shift(
@@ -380,71 +375,64 @@ def make_shift(
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
     phase = rephase_field(A, y, grid, quad_tol=quad_tol, normalization=normalization)
-    return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, theta=theta, max_loss=max_loss)
+    factor = np.exp(1j * (theta + phase.samples.values))
+    return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, factor=factor, theta=theta, max_loss=max_loss)
 
 
-def _shift_values(values: np.ndarray, steps, fill=0.0) -> np.ndarray:
+def _overlap(shape, steps):
+    """Source and destination slices of a move by ``steps`` nodes: out[dst] = values[src].
+
+    A move by |k| >= n nodes along some axis keeps no node, so both select nothing.
+    """
+    src, dst = [], []
+    for k, n in zip(steps, shape):
+        width = max(0, n - abs(k))
+        src.append(slice(max(0, -k), max(0, -k) + width))
+        dst.append(slice(max(0, k), max(0, k) + width))
+    return tuple(src), tuple(dst)
+
+
+def _shift_values(values: np.ndarray, steps) -> np.ndarray:
     """out[alpha] = values[alpha - steps], zero-filled outside the window."""
-    out = np.full_like(values, fill)
-    src = []
-    dst = []
-    for k, n in zip(steps, values.shape):
-        if abs(k) >= n:
-            return out
-        if k >= 0:
-            src.append(slice(0, n - k))
-            dst.append(slice(k, n))
-        else:
-            src.append(slice(-k, n))
-            dst.append(slice(0, n + k))
-    out[tuple(dst)] = values[tuple(src)]
+    out = np.zeros_like(values)
+    src, dst = _overlap(values.shape, steps)
+    out[dst] = values[src]
     return out
 
 
-def _lost_fraction(u: ComplexField, steps, invert: bool) -> float:
-    """Quadrature mass fraction of |u|^2 that a (possibly inverted) shift drops."""
-    W = u.grid.weights()
-    dens = W * np.abs(u.values) ** 2
+def _lost_fraction(u: ComplexField, steps) -> float:
+    """Quadrature mass fraction of |u|^2 that a move by ``steps`` nodes drops."""
+    dens = u.grid.weights() * np.abs(u.values) ** 2
     total = float(np.sum(dens))
     if total == 0.0:
         return 0.0
-    keep = [slice(None)] * u.grid.dim
-    for axis, (k, n) in enumerate(zip(steps, u.values.shape)):
-        kk = k if not invert else -k
-        # forward shift keeps source indices beta with beta + k in range
-        if kk >= 0:
-            keep[axis] = slice(0, n - kk)
-        else:
-            keep[axis] = slice(-kk, n)
-    kept = float(np.sum(dens[tuple(keep)]))
-    return (total - kept) / total
+    src, _ = _overlap(u.values.shape, steps)
+    return (total - float(np.sum(dens[src]))) / total
+
+
+def _check_move(g: ShiftOp, u: ComplexField, steps, name: str) -> None:
+    """Raise unless u lives on g's grid and a move by ``steps`` keeps all but ``g.max_loss`` of |u|^2."""
+    if u.grid.shape != g.grid.shape:
+        raise ValueError("field and shift live on different grids")
+    frac = _lost_fraction(u, steps)
+    if frac > g.max_loss:
+        raise MassLossError(f"{name} would drop a boundary-mass fraction {frac:.3e} > allowed {g.max_loss:.3e}")
 
 
 def shift_apply(g: ShiftOp, u: ComplexField) -> ComplexField:
     """g u = e^{i(theta + phi_y)} u(. - y) on the grid; errors on excessive mass loss."""
-    if u.grid.shape != g.grid.shape:
-        raise ValueError("field and shift live on different grids")
-    frac = _lost_fraction(u, g.steps, invert=False)
-    if frac > g.max_loss:
-        raise MassLossError(
-            f"shift would drop a boundary-mass fraction {frac:.3e} > allowed {g.max_loss:.3e}"
-        )
+    _check_move(g, u, g.steps, "shift")
+    # named, so numpy does not multiply into the temporary in place: that
+    # loop rounds the complex product differently
     shifted = _shift_values(u.values, g.steps)
-    return ComplexField(u.grid, g.factor() * shifted)
+    return ComplexField(u.grid, g.factor * shifted)
 
 
 def shift_invert(g: ShiftOp, v: ComplexField) -> ComplexField:
     """g^{-1} v = e^{-i(theta + phi_y(. + y))} v(. + y); exact inverse on the overlap."""
-    if v.grid.shape != g.grid.shape:
-        raise ValueError("field and shift live on different grids")
-    frac = _lost_fraction(v, g.steps, invert=True)
-    if frac > g.max_loss:
-        raise MassLossError(
-            f"inverse shift would drop a boundary-mass fraction {frac:.3e} > allowed {g.max_loss:.3e}"
-        )
     neg = tuple(-k for k in g.steps)
-    moved = _shift_values(v.values * np.conj(g.factor()), neg)
-    return ComplexField(v.grid, moved)
+    _check_move(g, v, neg, "inverse shift")
+    return ComplexField(v.grid, _shift_values(v.values * np.conj(g.factor), neg))
 
 
 def shifted_corrected_samples(A: PotentialField, y, grid: Grid, quad_tol: float = 1e-10) -> np.ndarray:
@@ -524,19 +512,17 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     phi12 = phi(y1 + y2)
     phi1 = phi(y1)
     phi2 = phi(y2)
-    phi1_shifted = _shift_values(phi1, steps2, fill=np.nan)
-    overlap = ~np.isnan(phi1_shifted)
-    gamma_field = phi12[overlap] - phi1_shifted[overlap] - phi2[overlap]
+    # phi_{y1}(. - y2) is known on the destination block of a move by y2
+    src, dst = _overlap(grid.shape, steps2)
+    gamma_field = (phi12[dst] - phi1[src] - phi2[dst]).ravel()
     gamma = float(np.mean(gamma_field))
     spread = float(np.max(np.abs(gamma_field - gamma))) if gamma_field.size else 0.0
 
     # gamma(y, -y) must vanish under the at-half convention
     phi0 = phi(np.zeros(grid.dim))
     phi1_neg = phi(-y1)
-    phi1_sh = _shift_values(phi1, tuple(-k for k in steps1), fill=np.nan)
-    ok = ~np.isnan(phi1_sh)
-    vals = phi0[ok] - phi1_sh[ok] - phi1_neg[ok]
-    gamma_pair = float(np.mean(vals))
+    src, back = _overlap(grid.shape, tuple(-k for k in steps1))
+    gamma_pair = float(np.mean((phi0[back] - phi1[src] - phi1_neg[back]).ravel()))
 
     # inverse law: g_{-y,-theta} g_{y,theta} is the identity on the overlap
     theta = 0.7
@@ -544,9 +530,8 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     g_bwd = make_shift(A, -y1, grid, theta=-theta, normalization="at_half", max_loss=1.0)
     probe = bump(grid, width=min(grid.extents) / 6.0)
     roundtrip = shift_apply(g_bwd, shift_apply(g_fwd, probe))
-    # nodes that never left the window: gamma + k1 stays in range
-    survived = _shift_values(np.ones(grid.shape), tuple(-k for k in steps1), fill=0.0).astype(bool)
-    err = np.abs(roundtrip.values - probe.values)[survived]
+    # nodes that never left the window: alpha + k1 stays in range
+    err = np.abs(roundtrip.values - probe.values)[back]
     roundtrip_error = float(np.max(err)) if err.size else 0.0
 
     return {

@@ -65,25 +65,22 @@ class Discretization:
         doubled radius stays below 2^dim.  A ball holds the node offsets o
         with |o h| <= rho_cover around its center node.
         """
-        for h in grid.h:
-            k = rho / h
-            if abs(k - round(k)) > 1e-9 or round(k) < 1:
-                raise ValueError(f"lattice spacing {rho} is not a positive multiple of grid spacing {h}")
+        ms = grid.is_lattice_vector(np.full(grid.dim, rho))
+        if ms is None or min(ms) < 1:
+            raise ValueError(f"lattice spacing {rho} is not a positive multiple of grid spacing {grid.h}")
         rho_cover = rho * float(np.sqrt(grid.dim)) / 2.0 + 1e-12
-        ranges = [np.arange(-int(np.floor(L / rho)), int(np.floor(L / rho)) + 1) * rho for L in grid.extents]
-        pts = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-        order = np.lexsort(tuple(pts[:, i] for i in range(grid.dim - 1, -1, -1)))
-        pts = pts[order]
+        ranges = [np.arange(-int(np.floor(L / rho)), int(np.floor(L / rho)) + 1) for L in grid.extents]
+        ks = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
         h = np.asarray(grid.h)
         pad = tuple(int(np.floor(rho_cover / hi)) for hi in h)
         reach = [np.arange(-r, r + 1) for r in pad]
         offsets = np.stack(np.meshgrid(*reach, indexing="ij"), axis=-1).reshape(-1, grid.dim)
         offsets = offsets[np.sum((offsets * h) ** 2, axis=1) <= rho_cover**2]
-        centers = np.rint((pts + np.asarray(grid.extents)) / h).astype(int) + np.asarray(pad)
+        centers = grid.node_index(ks * np.asarray(ms)) + np.asarray(pad)
         nodes = centers[:, None, :] + offsets[None, :, :]
         padded = tuple(n + 2 * r for n, r in zip(grid.n, pad))
         flat = np.ravel_multi_index(tuple(np.moveaxis(nodes, -1, 0)), padded)
-        return cls(grid=grid, rho=rho, rho_cover=rho_cover, points=pts, pad=pad, flat=flat)
+        return cls(grid=grid, rho=rho, rho_cover=rho_cover, points=ks * rho, pad=pad, flat=flat)
 
     def multiplicity_bound(self) -> int:
         """Crude bound on how many cover balls can share a point."""

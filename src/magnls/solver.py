@@ -566,19 +566,14 @@ class LandscapeResult:
 
 
 def _ball_lattice(grid: Grid, R: float, y_step: float) -> np.ndarray:
-    """Grid-lattice vectors inside the closed ball of radius R."""
-    steps = []
-    for h in grid.h:
-        m = int(round(y_step / h))
-        if m < 1 or abs(m * h - y_step) > 1e-9:
-            raise ValueError(f"y_step {y_step} is not a multiple of the grid spacing {h}")
-        steps.append(m * h)
+    """Grid-lattice vectors inside the closed ball of radius R, in lexicographic order."""
+    ms = grid.is_lattice_vector(np.full(grid.dim, y_step))
+    if ms is None or min(ms) < 1:
+        raise ValueError(f"y_step {y_step} is not a multiple of the grid spacing {grid.h}")
+    steps = [m * h for m, h in zip(ms, grid.h)]
     ranges = [np.arange(-int(np.floor(R / s)), int(np.floor(R / s)) + 1) * s for s in steps]
     mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-    keep = np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12
-    pts = mesh[keep]
-    order = np.lexsort(tuple(pts[:, i] for i in range(grid.dim - 1, -1, -1)))
-    return pts[order]
+    return mesh[np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12]
 
 
 def check_ray_box(R: Optional[float], T: float) -> None:

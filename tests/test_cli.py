@@ -1,6 +1,9 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,6 +225,27 @@ def test_bad_ray_box_exits_1(tmp_path, capsys, monkeypatch, command, flag, value
     assert f"{flag[2:]} must be finite" in capsys.readouterr().err
     assert not os.path.exists(out / "diagnostic.json")
     assert shots == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["landscape", "--field", "landau:b=0.5", "--R", "1", "--y-step", v] for v in ("inf", "nan")]
+    + [["gauge", "--field", "landau:b=1", "--y", f"{v},0"] for v in ("inf", "nan")],
+)
+def test_non_finite_lattice_input_exits_1(tmp_path, argv):
+    # a non-finite lattice step or shift is a validation error, not a traceback;
+    # a fresh interpreter shows what an uncaught exception would print
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "magnls.cli", *argv, "--out", str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("argv", [["conditions", "--tol", "1e-3"], ["landscape", "--seed", "1"]])

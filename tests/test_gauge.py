@@ -305,6 +305,17 @@ def test_shift_rejects_non_lattice():
         make_shift(A, (0.3, 0.0), GRID)
 
 
+@pytest.mark.parametrize("y", [(20.0, 0.0), (-20.0, 0.0), (0.0, 20.0)])
+def test_shift_beyond_window_loses_all_mass(y):
+    # a move longer than the window keeps no node of u
+    A = field_library("zero")
+    u = bump(GRID, width=1.0)
+    g = make_shift(A, y, GRID)
+    for move in (shift_apply, shift_invert):
+        with pytest.raises(MassLossError, match=r"fraction 1\.000e\+00"):
+            move(g, u)
+
+
 def test_shift_mass_loss_error_names_fraction():
     A = field_library("zero")
     u = bump(GRID, center=(6.0, 0.0), width=1.0)
@@ -350,7 +361,7 @@ def test_commutation_within_discretization_tolerance():
     lhs = covariant_gradient(shift_apply(g, u), A)
     tilde = shifted_corrected_samples(A, y, GRID)
     rhs_frame = covariant_gradient(u, tilde)
-    Z = g.factor()
+    Z = g.factor
     err = 0.0
     for m in range(2):
         rhs = Z * _shift_values(rhs_frame[m], g.steps)

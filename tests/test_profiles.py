@@ -68,6 +68,16 @@ def test_discretization_invariants():
     assert xi.multiplicity_bound() < 20
     with pytest.raises(ValueError, match="multiple"):
         Discretization.cubic(g, rho=0.3)
+    # the scan's tie rule reads the points in strictly increasing lexicographic order
+    lattices = (
+        (g, 1.0),
+        (Grid([36.0, 8.0], [577, 129]), 1.0),
+        (Grid(6.0, 65, dim=3), 0.75),
+        (Grid(4.0, 33, dim=1), 0.5),
+    )
+    for grid, rho in lattices:
+        pts = Discretization.cubic(grid, rho).points
+        assert all(tuple(a) < tuple(b) for a, b in zip(pts[:-1], pts[1:]))
 
 
 def test_local_mass_zero_field_tie_break():

@@ -364,6 +364,8 @@ def test_landscape_records_largest_boundary_mass(gs2):
 def test_landscape_bracket_landau(gs2):
     grid = Grid(8.0, 129, dim=2)
     land = landscape_eval(field_library("landau", b=0.5), gs2, PARAMS2, grid, R=3.0, T=3.0, y_step=0.5)
+    # the max and seed tie rules read the points in strictly increasing lexicographic order
+    assert all(tuple(a) < tuple(b) for a, b in zip(land.y_points[:-1], land.y_points[1:]))
     assert land.bracket["lower_ok"]
     assert land.bracket["upper_ok"]
     assert land.bracket["below_2c"]
