@@ -22,7 +22,7 @@ from .calculus import (
     RealField,
     default_grid,
 )
-from .field import curl, curl_of_samples, parse_field_spec
+from .field import _read_spec, curl, curl_of_samples, parse_field_spec
 from .gauge import (
     MassLossError,
     QuadratureError,
@@ -31,7 +31,15 @@ from .gauge import (
     linear_bound_check,
     rephase_field,
 )
-from .profiles import Discretization, ExtractOpts, SyntheticSpec, extract_profiles, synthesize_sequence, verify_decomposition
+from .profiles import (
+    Discretization,
+    ExtractOpts,
+    ProfileSpec,
+    SyntheticSpec,
+    extract_profiles,
+    synthesize_sequence,
+    verify_decomposition,
+)
 from .solver import (
     DivergenceError,
     check_ray_box,
@@ -39,6 +47,7 @@ from .solver import (
     critical_point_search,
     landscape_eval,
     landscape_seed,
+    lattice_steps,
     radial_ground_state,
 )
 
@@ -52,24 +61,19 @@ def _parse_point(text: str, dim: int) -> np.ndarray:
     return np.array(parts)
 
 
+_V_SPECS = {"const": ("v",), "gauss": ("base", "amp", "s")}
+
+
 def _parse_v_spec(text: str, grid: Grid) -> RealField:
     """Electric potential grammar: const:v=<f> | gauss:base=<f>,amp=<f>,s=<f>."""
-    name, _, rest = text.partition(":")
-    params = {}
-    for item in rest.split(","):
-        if not item:
-            continue
-        key, _, val = item.partition("=")
-        params[key.strip()] = float(val)
+    name, params = _read_spec(text, _V_SPECS, "V spec")
     if name == "const":
         return RealField(grid, np.full(grid.shape, params.get("v", 1.0)))
-    if name == "gauss":
-        base = params.get("base", 1.0)
-        amp = params.get("amp", 1.0)
-        s = params.get("s", 1.0)
-        r2 = np.sum(grid.nodes() ** 2, axis=-1)
-        return RealField(grid, base + amp * np.exp(-r2 / s**2))
-    raise ValueError(f"unknown V spec '{name}' (known: const, gauss)")
+    base = params.get("base", 1.0)
+    amp = params.get("amp", 1.0)
+    s = params.get("s", 1.0)
+    r2 = np.sum(grid.nodes() ** 2, axis=-1)
+    return RealField(grid, base + amp * np.exp(-r2 / s**2))
 
 
 def _make_grid(args) -> Grid:
@@ -231,14 +235,24 @@ def _run_conditions(args) -> int:
     return 0
 
 
-def _run_landscape(args) -> int:
-    out = _outdir(args)
+def _surface(args):
+    """Grid, field, params, ground state and pass surface of ``landscape`` and ``solve``.
+
+    R, T and the y-step lattice are checked before the ground state is shot.
+    """
     grid = _make_grid(args)
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
     check_ray_box(args.R, args.T)
+    lattice_steps(grid, args.y_step)
     gs = radial_ground_state(args.dim, args.p, args.lam)
     land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
+    return grid, A, params, gs, land
+
+
+def _run_landscape(args) -> int:
+    out = _outdir(args)
+    grid, _, _, _, land = _surface(args)
     mio.surface_to_csv(land.y_points, land.t_max, land.values, os.path.join(out, "surface.csv"))
     doc = {
         "max": land.max_value,
@@ -259,12 +273,7 @@ def _run_landscape(args) -> int:
 
 def _run_solve(args) -> int:
     out = _outdir(args)
-    grid = _make_grid(args)
-    A = parse_field_spec(args.field, dim=args.dim)
-    params = _functional_params(args, grid)
-    check_ray_box(args.R, args.T)
-    gs = radial_ground_state(args.dim, args.p, args.lam)
-    land = landscape_eval(A, gs, params, grid, R=args.R, T=args.T, y_step=args.y_step)
+    grid, A, params, gs, land = _surface(args)
     seed = landscape_seed(land, gs, A, grid)
     res = critical_point_search(A, params, seed, tol=args.tol, max_iters=args.max_iters, gs=gs)
     mio.field_to_csv(res.u, os.path.join(out, "u.csv"))
@@ -288,32 +297,79 @@ def _run_solve(args) -> int:
     return 0 if (res.converged and not res.trivial) else 2
 
 
+_EXTRACT_CASTS = {
+    "eps_mass": float,
+    "max_profiles": int,
+    "tail_window": int,
+    "agree_tol": float,
+    "window_radius": float,
+    "p": float,
+}
+
+
+def _spec_section(value, name: str, keys) -> dict:
+    """A section of the ``profiles`` spec: a JSON object holding only ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"spec {name} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"spec {name} has unknown keys {unknown}; known: {list(keys)}")
+    return value
+
+
+def _read_profiles_spec(text: str):
+    """Grid, K, synthetic spec, extraction options and scan rho of a ``profiles`` spec document."""
+    top = ("grid", "K", "field", "profiles", "noise", "spreading", "extract")
+    doc = _spec_section(_json.loads(text), "document", top)
+    gspec = _spec_section(doc.get("grid", {}), "grid", ("L", "n", "dim"))
+    if "dim" not in gspec and not isinstance(gspec.get("L", [1, 1]), list):
+        raise ValueError("spec grid: a scalar L needs dim")
+    dim = int(gspec.get("dim", len(gspec.get("L", [1, 1]))))
+    grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
+    shapes = []
+    for q in doc.get("profiles", []):
+        q = _spec_section(q, "profile", ("amplitude", "phase", "width", "wave", "center", "trajectory"))
+        shapes.append(
+            ProfileSpec(
+                amplitude=complex(q.get("amplitude", 1.0)) * np.exp(1j * float(q.get("phase", 0.0))),
+                width=float(q.get("width", 1.0)),
+                wave=tuple(q["wave"]) if "wave" in q else None,
+                center=tuple(q.get("center", ())),
+                direction=tuple(q.get("trajectory", ())),
+            )
+        )
+    noise = _spec_section(doc.get("noise", {}), "noise", ("amplitude", "decay", "seed"))
+    spreading = _spec_section(doc.get("spreading", {}), "spreading", ("amplitude", "width"))
+    if not isinstance(doc.get("field", ""), str):
+        raise ValueError("spec field must be a field specification string")
+    spec = SyntheticSpec(
+        profiles=shapes,
+        field=parse_field_spec(doc["field"], dim=dim) if "field" in doc else None,
+        noise_amplitude=float(noise.get("amplitude", 0.0)),
+        noise_decay=float(noise.get("decay", 0.1)),
+        noise_seed=int(noise.get("seed", 0)),
+        spreading_amplitude=float(spreading.get("amplitude", 0.0)),
+        spreading_width=float(spreading.get("width", 1.0)),
+    )
+    ex = _spec_section(doc.get("extract", {}), "extract", tuple(_EXTRACT_CASTS) + ("rho",))
+    opts = ExtractOpts(**{key: cast(ex[key]) for key, cast in _EXTRACT_CASTS.items() if key in ex})
+    return grid, int(doc.get("K", 8)), spec, opts, float(ex.get("rho", 1.0))
+
+
 def _run_profiles(args) -> int:
     out = _outdir(args)
     with open(args.spec) as fh:
         text = fh.read()
-    doc = _json.loads(text)
-    gspec = doc.get("grid", {})
-    dim = int(gspec.get("dim", len(gspec.get("L", [1, 1]))))
-    grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
-    K = int(doc.get("K", 8))
-    spec = SyntheticSpec.from_json(text, dim=dim)
+    try:
+        grid, K, spec, opts, rho = _read_profiles_spec(text)
+    except TypeError as exc:  # a value of the wrong JSON type, e.g. a number where a list belongs
+        raise ValueError(f"malformed spec value: {exc}") from None
     if args.seed is not None:
         spec.noise_seed = args.seed
     seq, truth = synthesize_sequence(spec, grid, K)
-    ex = doc.get("extract", {})
-    casts = {
-        "eps_mass": float,
-        "max_profiles": int,
-        "tail_window": int,
-        "agree_tol": float,
-        "window_radius": float,
-        "p": float,
-    }
-    opts = ExtractOpts(**{key: cast(ex[key]) for key, cast in casts.items() if key in ex})
-    xi = Discretization.cubic(grid, rho=float(ex.get("rho", 1.0)))
+    xi = Discretization.cubic(grid, rho=rho)
     dec = extract_profiles(seq, spec.field, xi, opts)
-    params = FunctionalParams(p=opts.p, lam=1.0, dim=dim)
+    params = FunctionalParams(p=opts.p, lam=1.0, dim=grid.dim)
     report = verify_decomposition(dec, seq, spec.field, params)
     for term in dec.terms:
         mio.field_to_csv(term.profile, os.path.join(out, f"profile_{term.index}.csv"))

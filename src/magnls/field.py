@@ -316,22 +316,31 @@ _SPEC_ALIASES = {
 }
 
 
+def _read_spec(text: str, grammar: dict, kind: str):
+    """Read ``name:key=<f>,...`` against ``grammar`` (name -> accepted keys).
+
+    Returns the name and its float parameters.  An unknown name, an unknown
+    key or a value that is not a number raises ``ValueError``.
+    """
+    name, _, rest = text.strip().partition(":")
+    if name not in grammar:
+        raise ValueError(f"unknown {kind} '{name}'; known: {sorted(grammar)}")
+    params = {}
+    for item in rest.split(",") if rest else ():
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key not in grammar[name]:
+            raise ValueError(f"{kind} '{name}' does not take parameter '{key}'")
+        try:
+            params[key] = float(val)
+        except ValueError:
+            raise ValueError(f"bad numeric value '{val}' for '{key}' in {kind}") from None
+    return name, params
+
+
 def parse_field_spec(spec: str, dim: int = 2) -> PotentialField:
     """Parse a field specification string like ``landau:b=0.5``."""
-    spec = spec.strip()
-    name, _, rest = spec.partition(":")
-    if name not in _SPEC_ALIASES:
-        raise ValueError(f"unknown field spec '{name}'; known: {sorted(_SPEC_ALIASES)}")
+    grammar = {name: keymap for name, (_, keymap) in _SPEC_ALIASES.items()}
+    name, params = _read_spec(spec, grammar, "field spec")
     tag, keymap = _SPEC_ALIASES[name]
-    params = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, val = item.partition("=")
-            key = key.strip()
-            if key not in keymap:
-                raise ValueError(f"field spec '{name}' does not take parameter '{key}'")
-            try:
-                params[keymap[key]] = float(val)
-            except ValueError:
-                raise ValueError(f"bad numeric value '{val}' for '{key}' in field spec") from None
-    return field_library(tag, dim=dim, **params)
+    return field_library(tag, dim=dim, **{keymap[key]: val for key, val in params.items()})

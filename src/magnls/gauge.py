@@ -497,6 +497,8 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     far the given field is from admissibility (admissible when the spread is
     at most 1e-8).  Also checks gamma(y, -y) = 0 and the inverse law by a
     shift round-trip on a test bump.  Phases use the quadrature tolerance 1e-10.
+    A y2 or y1 so long that a move by y2 or by -y1 keeps no node of the window
+    raises ``ValueError``: there is nothing to compare.
     """
     tol = 1e-8
     y1 = np.atleast_1d(np.asarray(y1, dtype=float))
@@ -505,6 +507,13 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     steps2 = grid.is_lattice_vector(y2)
     if steps1 is None or steps2 is None:
         raise ValueError("y1 and y2 must be lattice vectors so shifted phases are sampled exactly")
+    # phi_{y1}(. - y2) is known on the destination block of a move by y2, the
+    # inverse pair and the round trip on that of a move by -y1
+    src2, dst2 = _overlap(grid.shape, steps2)
+    src1, back = _overlap(grid.shape, tuple(-k for k in steps1))
+    for name, block in (("y2", dst2), ("-y1", back)):
+        if any(b.stop == b.start for b in block):
+            raise ValueError(f"a move by {name} keeps no node of the window")
 
     def phi(y):
         return rephase_field(A, y, grid, normalization="at_half").samples.values
@@ -512,17 +521,14 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     phi12 = phi(y1 + y2)
     phi1 = phi(y1)
     phi2 = phi(y2)
-    # phi_{y1}(. - y2) is known on the destination block of a move by y2
-    src, dst = _overlap(grid.shape, steps2)
-    gamma_field = (phi12[dst] - phi1[src] - phi2[dst]).ravel()
+    gamma_field = (phi12[dst2] - phi1[src2] - phi2[dst2]).ravel()
     gamma = float(np.mean(gamma_field))
-    spread = float(np.max(np.abs(gamma_field - gamma))) if gamma_field.size else 0.0
+    spread = float(np.max(np.abs(gamma_field - gamma)))
 
     # gamma(y, -y) must vanish under the at-half convention
     phi0 = phi(np.zeros(grid.dim))
     phi1_neg = phi(-y1)
-    src, back = _overlap(grid.shape, tuple(-k for k in steps1))
-    gamma_pair = float(np.mean((phi0[back] - phi1[src] - phi1_neg[back]).ravel()))
+    gamma_pair = float(np.mean((phi0[back] - phi1[src1] - phi1_neg[back]).ravel()))
 
     # inverse law: g_{-y,-theta} g_{y,theta} is the identity on the overlap
     theta = 0.7
@@ -531,8 +537,7 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     probe = bump(grid, width=min(grid.extents) / 6.0)
     roundtrip = shift_apply(g_bwd, shift_apply(g_fwd, probe))
     # nodes that never left the window: alpha + k1 stays in range
-    err = np.abs(roundtrip.values - probe.values)[back]
-    roundtrip_error = float(np.max(err)) if err.size else 0.0
+    roundtrip_error = float(np.max(np.abs(roundtrip.values - probe.values)[back]))
 
     return {
         "gamma": gamma,

@@ -8,7 +8,6 @@ the mass-splitting and superadditivity identities the decomposition must
 satisfy.
 """
 
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,7 +21,7 @@ from .calculus import (
     energy_EA,
     lp_norm,
 )
-from .field import PotentialField, field_library, parse_field_spec
+from .field import PotentialField, field_library
 from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert, shifted_corrected_samples
 
 __all__ = [
@@ -150,35 +149,6 @@ class SyntheticSpec:
     spreading_amplitude: float = 0.0
     spreading_width: float = 1.0
 
-    @classmethod
-    def from_json(cls, text: str, dim: int = 2) -> "SyntheticSpec":
-        doc = json.loads(text)
-        profiles = []
-        for q in doc.get("profiles", []):
-            amp = q.get("amplitude", 1.0)
-            phase = q.get("phase", 0.0)
-            profiles.append(
-                ProfileSpec(
-                    amplitude=complex(amp) * np.exp(1j * float(phase)),
-                    width=float(q.get("width", 1.0)),
-                    wave=tuple(q["wave"]) if "wave" in q else None,
-                    center=tuple(q.get("center", ())),
-                    direction=tuple(q.get("trajectory", ())),
-                )
-            )
-        field = parse_field_spec(doc["field"], dim=dim) if "field" in doc else None
-        noise = doc.get("noise", {})
-        spreading = doc.get("spreading", {})
-        return cls(
-            profiles=profiles,
-            field=field,
-            noise_amplitude=float(noise.get("amplitude", 0.0)),
-            noise_decay=float(noise.get("decay", 0.1)),
-            noise_seed=int(noise.get("seed", 0)),
-            spreading_amplitude=float(spreading.get("amplitude", 0.0)),
-            spreading_width=float(spreading.get("width", 1.0)),
-        )
-
 
 def _profile_field(spec: ProfileSpec, grid: Grid) -> ComplexField:
     center = spec.center if spec.center else 0.0
@@ -202,7 +172,6 @@ def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int):
     dim = grid.dim
     truth = {"profiles": [], "trajectories": []}
     base_fields = []
-    shifts = {}
     for pr in spec.profiles:
         v = _profile_field(pr, grid)
         base_fields.append(v)

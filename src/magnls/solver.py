@@ -30,7 +30,7 @@ from .calculus import (
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import MassLossError, QuadratureError, make_shift, potential_at_infinity, shift_apply, shift_invert
+from .gauge import make_shift, potential_at_infinity, shift_apply
 
 __all__ = [
     "GroundState",
@@ -45,6 +45,7 @@ __all__ = [
     "minimize_constrained",
     "condition_report",
     "check_ray_box",
+    "lattice_steps",
     "landscape_eval",
     "landscape_seed",
     "two_bump_diagnostic",
@@ -565,15 +566,15 @@ class LandscapeResult:
         return self.y_points[self.seed_index]
 
 
-def _ball_lattice(grid: Grid, R: float, y_step: float) -> np.ndarray:
-    """Grid-lattice vectors inside the closed ball of radius R, in lexicographic order."""
+def lattice_steps(grid: Grid, y_step: Optional[float]) -> list:
+    """Per-axis steps of the landscape lattice: ``y_step`` (default the largest h)
+    snapped to the grid; it must be a positive multiple of every h (else ``ValueError``)."""
+    if y_step is None:
+        y_step = max(grid.h)
     ms = grid.is_lattice_vector(np.full(grid.dim, y_step))
     if ms is None or min(ms) < 1:
         raise ValueError(f"y_step {y_step} is not a multiple of the grid spacing {grid.h}")
-    steps = [m * h for m, h in zip(ms, grid.h)]
-    ranges = [np.arange(-int(np.floor(R / s)), int(np.floor(R / s)) + 1) * s for s in steps]
-    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-    return mesh[np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12]
+    return [m * h for m, h in zip(ms, grid.h)]
 
 
 def check_ray_box(R: Optional[float], T: float) -> None:
@@ -607,17 +608,20 @@ def landscape_eval(
     is the lattice point closest to the origin among those within 1e-2
     (relative) of the maximum.  Eta matches scan 61 values of t in [0, T]
     and accept a relative deviation up to 1e-3.  A negative or non-finite R
-    and a non-positive or non-finite T raise ``ValueError`` (``check_ray_box``).
+    and a non-positive or non-finite T raise ``ValueError`` (``check_ray_box``),
+    as does a ``y_step`` that is no positive multiple of h (``lattice_steps``).
     """
     check_ray_box(R, T)
+    steps = lattice_steps(grid, y_step)
     if R is None:
         R = 6.0 * gs.decay_length
-    if y_step is None:
-        y_step = max(grid.h)
     p = params.p
     w = gs.on_grid(grid)
     prep = prepare_potential(A, grid)
-    y_points = _ball_lattice(grid, R, y_step)
+    # the lattice vectors in the closed ball of radius R, in lexicographic order
+    ranges = [np.arange(-int(np.floor(R / s)), int(np.floor(R / s)) + 1) * s for s in steps]
+    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    y_points = mesh[np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12]
     t_max = np.empty(len(y_points))
     values = np.empty(len(y_points))
     etas = np.empty((len(y_points), grid.dim + 1))
@@ -840,25 +844,8 @@ def _residual_operator(u_vals, Avals, Vvals, p, grid):
     return apply
 
 
-def _recentered(A: PotentialField, u: ComplexField) -> Optional[ComplexField]:
-    """g_z^{-1} u for z the lattice point nearest the mass centroid of u.
-
-    The exact inverse ``shift_invert`` undoes a bump placed at z by g_z in
-    every gauge; a bare g_{-z} does so only up to a constant phase, and only
-    in gauges like landau.  None when z = 0 or the shift fails.
-    """
-    grid = u.grid
-    steps = np.round(_centroid(u) / np.array(grid.h)).astype(int)
-    if np.all(steps == 0):
-        return None
-    try:
-        return shift_invert(make_shift(A, steps * np.array(grid.h), grid, max_loss=0.5), u)
-    except (MassLossError, QuadratureError):
-        return None
-
-
 def critical_point_search(
-    A: PotentialField,
+    A,
     params: FunctionalParams,
     seed: ComplexField,
     tol: float = 1e-8,
@@ -870,9 +857,10 @@ def critical_point_search(
 
     Each step solves the symmetric (indefinite) linearized system with MINRES
     and backtracks on ||residual||^2; falls back to the steepest-descent
-    direction whenever the model step fails to decrease the residual.  Stops
-    at the residual tolerance or reports stagnation with the trace.  A must
-    be a PotentialField, since recentering shifts the iterate by g_y.
+    direction whenever the MINRES step is not a descent direction.  Stops at
+    the residual tolerance, or reports ``stalled`` with the trace when 40
+    halvings of the step give no sufficient (Armijo) decrease.  A is any
+    potential that ``prepare_potential`` takes.
 
     MINRES is preconditioned by ``_block_preconditioner``: an exact DST-I
     inverse on the interior nodes and the operator diagonal on the outermost
@@ -882,8 +870,6 @@ def critical_point_search(
     ``solve`` case).  ``minres_info`` keeps MINRES's exit flag per Newton
     step (0 when it met its forcing tolerance).
     """
-    if not isinstance(A, PotentialField):
-        raise ValueError(f"critical_point_search needs a PotentialField, got {type(A).__name__}")
     grid = seed.grid
     Avals = prepare_potential(A, grid)
     Vvals = _v_samples(params, grid)
@@ -916,27 +902,11 @@ def critical_point_search(
             trace=trace, iterations=0, converged=True, stalled=False, trivial=trivial,
         )
 
-    def recenter(u_vals, cur_norm):
-        """Jump along the symmetry orbit (``_recentered``) when that lowers the residual.
-
-        Newton steps crawl across the near-flat translation valley; a magnetic
-        shift covers the same ground in one move and is accepted only as a
-        strict merit decrease.
-        """
-        moved = _recentered(A, ComplexField(grid, u_vals))
-        if moved is None:
-            return None
-        c_vals, c_norm = residual(moved.values)
-        if c_norm < 0.995 * cur_norm:
-            return moved.values, c_vals, c_norm
-        return None
-
     Mop = LinearOperator((2 * size, 2 * size), matvec=_block_preconditioner(grid, Vvals), dtype=float)
 
     minres_info = []
     converged = False
     stalled = False
-    weak = 0
     it = 0
     for it in range(1, max_iters + 1):
         op_apply = _residual_operator(u, Avals, Vvals, params.p, grid)
@@ -974,29 +944,13 @@ def critical_point_search(
                 break
             alpha *= 0.5
         if not accepted:
-            jump = recenter(u, r_norm)
-            if jump is None:
-                stalled = True
-                break
-            u, r_vals, r_norm = jump
-            trace.append((level_of(u), r_norm))
-            continue
-        prev_norm = r_norm
+            stalled = True
+            break
         u, r_vals, r_norm = cand, c_vals, c_norm
         trace.append((level_of(u), r_norm))
         if r_norm < tol:
             converged = True
             break
-        if r_norm > 0.98 * prev_norm:
-            weak += 1
-            if weak >= 3:
-                weak = 0
-                jump = recenter(u, r_norm)
-                if jump is not None:
-                    u, r_vals, r_norm = jump
-                    trace.append((level_of(u), r_norm))
-        else:
-            weak = 0
 
     level = trace[-1][0]
     trivial = bool(np.max(np.abs(u)) < 1e-10)

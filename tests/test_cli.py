@@ -248,6 +248,66 @@ def test_non_finite_lattice_input_exits_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["landscape", "solve"])
+def test_bad_y_step_exits_1_before_shooting(tmp_path, capsys, monkeypatch, command):
+    # the y-step lattice is checked with R and T, before the ground state is shot
+    def no_shots(*args, **kwargs):
+        raise AssertionError("radial_ground_state ran")
+
+    monkeypatch.setattr(cli, "radial_ground_state", no_shots)
+    code = run([
+        command, "--field", "landau:b=0.5", "--R", "1", "--y-step", "0.3", "--out", str(tmp_path / "out"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "multiple" in err[0]
+
+
+CONDITIONS_V = ["conditions", "--field", "gauss:b0=0.3,s=1", "--L", "4", "--n", "33"]
+
+
+def test_v_spec_reaches_conditions(tmp_path):
+    # V = 2 lifts the Bprime sum past its bound; V >= lambda holds
+    out = tmp_path / "v"
+    assert run(CONDITIONS_V + ["--V", "const:v=2", "--out", str(out)]) == 0
+    doc = read_json(out / "conditions.json")
+    assert doc["holds_Bprime"] is False
+    assert doc["holds_V"] is True
+    assert read_json(out / "manifest.json")["V"] == "const:v=2"
+
+
+@pytest.mark.parametrize("spec", ["const:V=2", "gauss:bas=5"])
+def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
+    assert run(CONDITIONS_V + ["--V", spec, "--out", str(tmp_path / "v")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [
+        ("grid", {"L": 8.0, "n": 65}),
+        ("noise", 0.01),
+        ("extract", {"eps_mas": 0.5}),
+        ("profiles", [{"width": 0.8, "trajectory": 4.0}]),
+        ("field", 5),
+    ],
+    ids=["scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number"],
+)
+def test_malformed_profiles_spec_exits_1(tmp_path, capsys, section, value):
+    spec = {
+        "grid": {"L": [12.0, 6.0], "n": [97, 49]},
+        "K": 6,
+        "profiles": [{"amplitude": 1.0, "width": 0.8}],
+        section: value,
+    }
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["profiles", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
 @pytest.mark.parametrize("argv", [["conditions", "--tol", "1e-3"], ["landscape", "--seed", "1"]])
 def test_unread_flags_rejected(argv):
     # --tol and --seed exist only where a command reads them

@@ -446,6 +446,13 @@ def test_composition_gamma_y_minus_y_zero():
         assert abs(rep["gamma_inverse_pair"]) <= 1e-12
 
 
+@pytest.mark.parametrize("y1, y2", [((3.0, 0.0), (20.0, 0.0)), ((20.0, 0.0), (3.0, 0.0))], ids=["y2", "y1"])
+def test_composition_constant_rejects_empty_overlap(y1, y2):
+    # a move by y2 or by -y1 past the window leaves no node to average over
+    with pytest.raises(ValueError, match="keeps no node"):
+        composition_constant(field_library("landau", b=1.0), y1, y2, GRID)
+
+
 def test_quadrature_error_carries_worst_segment():
     # a discontinuous component defeats adaptive subdivision within budget
     from magnls.field import PotentialField

@@ -9,7 +9,6 @@ from magnls.calculus import (
     FunctionalParams,
     Grid,
     bump,
-    energy_EA,
     functional_I,
     functional_J,
     lp_norm,
@@ -20,7 +19,6 @@ from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply
 from magnls.solver import (
     _block_preconditioner,
-    _recentered,
     condition_report,
     critical_point_search,
     landscape_eval,
@@ -443,27 +441,28 @@ def test_search_landau_bracket(gs2):
     assert res.bracket["inside"]
 
 
-@pytest.mark.parametrize("tag", ["landau", "symmetric"])
-def test_recenter_inverts_the_placing_shift(tag):
-    # a bump placed at z by g_z comes back under g_z^{-1} in every gauge; a
-    # bare g_{-z} leaves a non-constant phase in the symmetric gauge (energy
-    # 4.662 instead of 3.331)
-    grid = Grid(8.0, 129, dim=2)
-    A = field_library(tag, b=0.5)
-    u = bump(grid, width=1.0)
-    assert _recentered(A, u) is None
-    placed = shift_apply(make_shift(A, (1.5, 0.75), grid), u)
-    moved = _recentered(A, placed)
-    assert np.max(np.abs(moved.values - u.values)) <= 1e-8
-    assert energy_EA(moved, A) == pytest.approx(energy_EA(u, A), rel=1e-9)
+def test_search_stops_when_the_line_search_fails(gs2):
+    # below rounding level neither the Newton nor the steepest-descent step
+    # lowers the residual, so the search stops and says so
+    grid = Grid(8.0, 65, dim=2)
+    res = critical_point_search(field_library("zero"), PARAMS2, gs2.on_grid(grid), tol=1e-15)
+    assert res.stalled
+    assert not res.converged
+    assert res.iterations < 60
+    assert res.residual_norm < 1e-12
 
 
-def test_search_rejects_prepared_potential():
-    # recentering shifts the iterate by g_y, which needs the field itself
+def test_search_prepared_potential_matches_field(gs2):
+    # the search reads A only through prepare_potential
     grid = Grid(8.0, 65, dim=2)
     A = field_library("landau", b=0.5)
-    with pytest.raises(ValueError, match="PotentialField"):
-        critical_point_search(prepare_potential(A, grid), PARAMS2, bump(grid), tol=1e-8)
+    seed = gs2.on_grid(grid)
+    res = critical_point_search(A, PARAMS2, seed, tol=1e-6)
+    prep = critical_point_search(prepare_potential(A, grid), PARAMS2, seed, tol=1e-6)
+    assert prep.level == res.level
+    assert prep.residual_norm == res.residual_norm
+    assert prep.trace == res.trace
+    assert np.array_equal(prep.u.values, res.u.values)
 
 
 def test_search_reports_stall_without_exception():
