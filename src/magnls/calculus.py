@@ -51,6 +51,13 @@ __all__ = [
 ]
 
 
+def _whole(value) -> int:
+    """``value`` as an int; ``ValueError`` unless it is a finite whole number."""
+    if not float(value).is_integer():
+        raise ValueError(f"expected a whole number, got {value}")
+    return int(value)
+
+
 def _as_tuple(value, dim, cast):
     if np.isscalar(value):
         return tuple(cast(value) for _ in range(dim))
@@ -75,9 +82,9 @@ class Grid:
     def __init__(self, extents, n, dim: Optional[int] = None):
         if dim is None:
             dim = 1 if np.isscalar(extents) else len(extents)
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", _whole(dim))
         object.__setattr__(self, "extents", _as_tuple(extents, self.dim, float))
-        object.__setattr__(self, "n", _as_tuple(n, self.dim, int))
+        object.__setattr__(self, "n", _as_tuple(n, self.dim, _whole))
         for L, ni in zip(self.extents, self.n):
             if L <= 0:
                 raise ValueError(f"extent must be positive, got {L}")
@@ -123,10 +130,10 @@ class Grid:
 
         return self._cached("weights", build)
 
-    def is_lattice_vector(self, y, tol: float = 1e-9):
+    def is_lattice_vector(self, y):
         """Offsets in grid steps when y is an integer multiple of the spacing, else None.
 
-        Each entry may miss its multiple by ``tol`` steps.  A non-finite entry
+        Each entry may miss its multiple by 1e-9 steps.  A non-finite entry
         raises ``ValueError``.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
@@ -137,7 +144,7 @@ class Grid:
         steps = []
         for yi, hi in zip(y, self.h):
             k = yi / hi
-            if abs(k - round(k)) > tol:
+            if abs(k - round(k)) > 1e-9:
                 return None
             steps.append(int(round(k)))
         return tuple(steps)

@@ -20,10 +20,12 @@ from .calculus import (
     FunctionalParams,
     Grid,
     RealField,
+    _whole,
     default_grid,
 )
 from .field import _read_spec, curl, curl_of_samples, parse_field_spec
 from .gauge import (
+    QUAD_TOL,
     MassLossError,
     QuadratureError,
     corrected_potential,
@@ -92,15 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, field=True, functional=True):
-        if field:
-            sp.add_argument("--field", default="zero", help="zero | landau:b=<f> | symmetric:b=<f> | gauss:b0=<f>,s=<f> | periodic:b=<f>,L=<f>")
+    def common(sp, window=True, functional=True):
         sp.add_argument("--dim", type=int, default=2)
-        sp.add_argument("--L", type=float, default=None, help="window half-width")
-        sp.add_argument("--n", type=int, default=None, help="nodes per axis (odd)")
+        if window:
+            sp.add_argument("--field", default="zero", help="zero | landau:b=<f> | symmetric:b=<f> | gauss:b0=<f>,s=<f> | periodic:b=<f>,L=<f>")
+            sp.add_argument("--L", type=float, default=None, help="window half-width")
+            sp.add_argument("--n", type=int, default=None, help="nodes per axis (odd)")
         if functional:
             sp.add_argument("--p", type=float, default=4.0)
             sp.add_argument("--lambda", dest="lam", type=float, default=1.0)
+        if window and functional:  # V is sampled on the window
             sp.add_argument("--V", default=None, help="const:v=<f> | gauss:base=<f>,amp=<f>,s=<f>")
         sp.add_argument("--out", default=None, help="output directory")
 
@@ -108,10 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp, functional=False)
     sp.add_argument("--y", required=True, help="base point, comma-separated")
     sp.add_argument("--normalization", choices=("at_base", "at_half"), default="at_base")
-    sp.add_argument("--tol", type=float, default=1e-10, help="quadrature tolerance")
 
     sp = sub.add_parser("groundstate", help="radial profile of the field-free limit problem")
-    common(sp, field=False)
+    common(sp, window=False)
     sp.add_argument("--rmax", type=float, default=35.0)
     sp.add_argument("--tol", type=float, default=1e-10, help="shooting tolerance")
 
@@ -120,13 +122,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("landscape", help="pass surface over shifted, scaled profiles")
     common(sp)
-    sp.add_argument("--R", type=float, default=None)
+    sp.add_argument("--R", type=float, required=True, help="radius of the ball of shifts y")
     sp.add_argument("--T", type=float, default=3.0)
     sp.add_argument("--y-step", dest="y_step", type=float, default=None)
 
     sp = sub.add_parser("solve", help="critical-point search from the landscape seed")
     common(sp)
-    sp.add_argument("--R", type=float, default=None)
+    sp.add_argument("--R", type=float, required=True, help="radius of the ball of shifts y")
     sp.add_argument("--T", type=float, default=3.0)
     sp.add_argument("--y-step", dest="y_step", type=float, default=None)
     sp.add_argument("--max-iters", dest="max_iters", type=int, default=60)
@@ -159,7 +161,7 @@ def _run_gauge(args) -> int:
     grid = _make_grid(args)
     A = parse_field_spec(args.field, dim=args.dim)
     y = _parse_point(args.y, args.dim)
-    phase = rephase_field(A, y, grid, quad_tol=args.tol, normalization=args.normalization)
+    phase = rephase_field(A, y, grid, normalization=args.normalization)
     cp = corrected_potential(A, phase, grid)
     B = curl(A, tuple((-L, L) for L in grid.extents), min(grid.n))
     bound = linear_bound_check(cp, B)
@@ -176,7 +178,7 @@ def _run_gauge(args) -> int:
     slab_err = 0.0
     for n in range(1, grid.dim + 1):
         axes = [np.array([y[m]]) for m in range(n - 1)] + [grid.axes[m] for m in range(n - 1, grid.dim)]
-        samples = corrected_potential_samples(A, y, axes, args.tol)
+        samples = corrected_potential_samples(A, y, axes)
         slab_err = max(slab_err, float(np.max(np.abs(samples[n - 1]))))
 
     mio.field_to_csv(phase.samples, os.path.join(out, "phi.csv"))
@@ -184,7 +186,7 @@ def _run_gauge(args) -> int:
     report = {
         "base_point": y.tolist(),
         "normalization": args.normalization,
-        "quad_tol": args.tol,
+        "quad_tol": QUAD_TOL,
         "max_bound_violation": {"value": bound["max_violation"], "tol": 1e-8},
         "curl_error": {"value": curl_err, "note": "finite-difference curl of A_y vs analytic curl of A"},
         "slab_error": {"value": slab_err, "tol": 1e-8},
@@ -217,7 +219,7 @@ def _run_groundstate(args) -> int:
 
 
 def _functional_params(args, grid) -> FunctionalParams:
-    V = _parse_v_spec(args.V, grid) if getattr(args, "V", None) else None
+    V = _parse_v_spec(args.V, grid) if args.V else None
     return FunctionalParams(p=args.p, lam=args.lam, V=V, dim=args.dim)
 
 
@@ -299,8 +301,8 @@ def _run_solve(args) -> int:
 
 _EXTRACT_CASTS = {
     "eps_mass": float,
-    "max_profiles": int,
-    "tail_window": int,
+    "max_profiles": _whole,
+    "tail_window": _whole,
     "agree_tol": float,
     "window_radius": float,
     "p": float,
@@ -324,7 +326,7 @@ def _read_profiles_spec(text: str):
     gspec = _spec_section(doc.get("grid", {}), "grid", ("L", "n", "dim"))
     if "dim" not in gspec and not isinstance(gspec.get("L", [1, 1]), list):
         raise ValueError("spec grid: a scalar L needs dim")
-    dim = int(gspec.get("dim", len(gspec.get("L", [1, 1]))))
+    dim = _whole(gspec.get("dim", len(gspec.get("L", [1, 1]))))
     grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
     shapes = []
     for q in doc.get("profiles", []):
@@ -347,13 +349,13 @@ def _read_profiles_spec(text: str):
         field=parse_field_spec(doc["field"], dim=dim) if "field" in doc else None,
         noise_amplitude=float(noise.get("amplitude", 0.0)),
         noise_decay=float(noise.get("decay", 0.1)),
-        noise_seed=int(noise.get("seed", 0)),
+        noise_seed=_whole(noise.get("seed", 0)),
         spreading_amplitude=float(spreading.get("amplitude", 0.0)),
         spreading_width=float(spreading.get("width", 1.0)),
     )
     ex = _spec_section(doc.get("extract", {}), "extract", tuple(_EXTRACT_CASTS) + ("rho",))
     opts = ExtractOpts(**{key: cast(ex[key]) for key, cast in _EXTRACT_CASTS.items() if key in ex})
-    return grid, int(doc.get("K", 8)), spec, opts, float(ex.get("rho", 1.0))
+    return grid, _whole(doc.get("K", 8)), spec, opts, float(ex.get("rho", 1.0))
 
 
 def _run_profiles(args) -> int:
@@ -366,10 +368,10 @@ def _run_profiles(args) -> int:
         raise ValueError(f"malformed spec value: {exc}") from None
     if args.seed is not None:
         spec.noise_seed = args.seed
-    seq, truth = synthesize_sequence(spec, grid, K)
-    xi = Discretization.cubic(grid, rho=rho)
-    dec = extract_profiles(seq, spec.field, xi, opts)
     params = FunctionalParams(p=opts.p, lam=1.0, dim=grid.dim)
+    xi = Discretization.cubic(grid, rho=rho)
+    seq, truth = synthesize_sequence(spec, grid, K)
+    dec = extract_profiles(seq, spec.field, xi, opts)
     report = verify_decomposition(dec, seq, spec.field, params)
     for term in dec.terms:
         mio.field_to_csv(term.profile, os.path.join(out, f"profile_{term.index}.csv"))

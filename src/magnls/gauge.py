@@ -23,6 +23,7 @@ __all__ = [
     "ShiftOp",
     "QuadratureError",
     "MassLossError",
+    "QUAD_TOL",
     "rephase_field",
     "corrected_potential",
     "corrected_potential_samples",
@@ -43,6 +44,11 @@ class QuadratureError(RuntimeError):
 
 class MassLossError(ValueError):
     """Too much of |u|^2 would be shifted out of the window."""
+
+
+# Per-segment tolerance of the adaptive Simpson quadrature behind every line
+# integral of A: phases, phase tables and corrected potentials.
+QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -70,36 +76,21 @@ def _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float):
-    """Integral of a (possibly array-valued) integrand from a to b, at most 40 bisections deep."""
+def _adaptive_simpson(f, a: float, b: float):
+    """Integral of a (possibly array-valued) integrand from a to b to ``QUAD_TOL``, at most 40 bisections deep."""
     if a == b:
         return np.zeros_like(np.asarray(f(a), dtype=float))
     if b < a:
-        return -_adaptive_simpson(f, b, a, tol)
+        return -_adaptive_simpson(f, b, a)
     fa = np.asarray(f(a), dtype=float)
     fm = np.asarray(f(0.5 * (a + b)), dtype=float)
     fb = np.asarray(f(b), dtype=float)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, 40)
+    return _adaptive_segment(f, a, b, fa, fm, fb, whole, QUAD_TOL, 40)
 
 
-def _cumulative_from(f, start: float, values: np.ndarray, tol: float, axis: int) -> np.ndarray:
-    """F(v) = int_start^v f(t) dt for every v in the (ascending) value array.
-
-    ``f`` returns arrays with a singleton at ``axis``; the integrals are
-    concatenated along it.
-    """
-    out = []
-    acc = _adaptive_simpson(f, start, float(values[0]), tol)
-    out.append(acc)
-    for lo, hi in zip(values[:-1], values[1:]):
-        acc = acc + _adaptive_simpson(f, float(lo), float(hi), tol)
-        out.append(acc)
-    return np.concatenate([np.asarray(o, dtype=float) for o in out], axis=axis)
-
-
-def _line_integrals(integrand, head, axis_values, tail, start: float, tol: float) -> np.ndarray:
-    """Cumulative integrals int_start^v integrand(head, t, tail) dt for v in ``axis_values``.
+def _line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndarray:
+    """Cumulative integrals int_start^v integrand(head, t, tail) dt for v in ``axis_values`` (ascending).
 
     The integration axis is m = len(head) + 1.  ``head`` holds axes 1..m-1:
     singletons [y_j] pin the staircase coordinates, full axes span a table.
@@ -114,24 +105,12 @@ def _line_integrals(integrand, head, axis_values, tail, start: float, tol: float
         pts[..., m - 1] = t
         return integrand(pts)
 
-    return _cumulative_from(f, start, np.asarray(axis_values), tol, axis=m - 1)
-
-
-def _staircase_sum(component_eval, y, axes, quad_tol: float) -> np.ndarray:
-    """Sum over m of the cumulative axis-m integrals, broadcast to the full mesh.
-
-    ``component_eval(m, pts)`` must return the scalar integrand of the m-th
-    term at the given points.
-    """
-    dim = len(axes)
-    shape = tuple(len(ax) for ax in axes)
-    total = np.zeros(shape)
-    head = [np.array([yi]) for yi in y]
-    for m in range(1, dim + 1):
-        total += _line_integrals(
-            lambda pts, m=m: component_eval(m, pts), head[: m - 1], axes[m - 1], axes[m:], float(y[m - 1]), quad_tol
-        )
-    return total
+    acc = _adaptive_simpson(f, start, float(axis_values[0]))
+    out = [acc]
+    for lo, hi in zip(axis_values[:-1], axis_values[1:]):
+        acc = acc + _adaptive_simpson(f, float(lo), float(hi))
+        out.append(acc)
+    return np.concatenate(out, axis=m - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -145,20 +124,24 @@ class GaugePhase:
     base_point: np.ndarray
     normalization: str
     samples: RealField
-    quad_tol: float
 
 
-def _phase_values(A: PotentialField, y: np.ndarray, axes, quad_tol: float) -> np.ndarray:
-    def comp(m, pts):
-        return A(pts)[..., m - 1]
+def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
+    """phi_y on the tensor grid spanned by ``axes``: minus the staircase sum of
+    the cumulative axis-m integrals of A_m, broadcast to the full mesh."""
+    total = np.zeros(tuple(len(ax) for ax in axes))
+    head = [np.array([yi]) for yi in y]
+    for m in range(1, len(axes) + 1):
+        total += _line_integrals(
+            lambda pts, m=m: A(pts)[..., m - 1], head[: m - 1], axes[m - 1], axes[m:], float(y[m - 1])
+        )
+    return -total
 
-    return -_staircase_sum(comp, y, axes, quad_tol)
 
-
-def _phase_tables(A: PotentialField, grid: Grid, quad_tol: float) -> list:
+def _phase_tables(A: PotentialField, grid: Grid) -> list:
     """Per-axis cumulative integrals C_m(x) = int_{x_m^min}^{x_m} A_m(.., t, ..) dt on the grid.
 
-    Cached on the grid per (field, tolerance).  The cached value holds A, so
+    Cached on the grid per field.  The cached value holds A, so
     its id cannot be reused while the entry lives; a build that raises
     caches nothing.
     """
@@ -167,13 +150,13 @@ def _phase_tables(A: PotentialField, grid: Grid, quad_tol: float) -> list:
         axes = grid.axes
         tables = [
             _line_integrals(
-                lambda pts, m=m: A(pts)[..., m - 1], axes[: m - 1], axes[m - 1], axes[m:], float(axes[m - 1][0]), quad_tol
+                lambda pts, m=m: A(pts)[..., m - 1], axes[: m - 1], axes[m - 1], axes[m:], float(axes[m - 1][0])
             )
             for m in range(1, grid.dim + 1)
         ]
         return A, tables
 
-    return grid._cached(("phase_tables", id(A), quad_tol), build)[1]
+    return grid._cached(("phase_tables", id(A)), build)[1]
 
 
 def _table_phase(tables: list, index) -> np.ndarray:
@@ -198,10 +181,9 @@ def rephase_field(
     A: PotentialField,
     y,
     grid: Grid,
-    quad_tol: float = 1e-10,
     normalization: str = "at_base",
 ) -> GaugePhase:
-    """Build phi_y on the grid by adaptive Simpson quadrature (per-segment tol).
+    """Build phi_y on the grid by adaptive Simpson quadrature (per-segment ``QUAD_TOL``).
 
     ``at_base`` fixes phi_y(y) = 0; ``at_half`` fixes phi_y(y/2) = 0 (the
     convention under which the shift composition law carries a clean
@@ -209,7 +191,7 @@ def rephase_field(
     the shift below reduces to the identity.
 
     A lattice y whose node lies inside the window takes its phase from the
-    per-axis tables of ``_phase_tables``, built once per (A, grid, quad_tol)
+    per-axis tables of ``_phase_tables``, built once per (A, grid)
     and kept on the grid.  A table build integrates along every grid line,
     not only the staircase through y, so a field that defeats the quadrature
     on some other line raises ``QuadratureError`` here too.  Any other y
@@ -225,13 +207,13 @@ def rephase_field(
     else:
         index = _window_index(grid, y)
         if index is None:
-            vals = _phase_values(A, y, grid.axes, quad_tol)
+            vals = _phase_values(A, y, grid.axes)
         else:
-            vals = _table_phase(_phase_tables(A, grid, quad_tol), index)
+            vals = _table_phase(_phase_tables(A, grid), index)
         if normalization == "at_half":
-            half = _phase_values(A, y, [np.array([yi / 2.0]) for yi in y], quad_tol)
+            half = _phase_values(A, y, [np.array([yi / 2.0]) for yi in y])
             vals = vals - float(half.reshape(()))
-    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals), quad_tol=quad_tol)
+    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +230,7 @@ class CorrectedPotential:
     construction: str
 
 
-def corrected_potential_samples(A: PotentialField, y, axes, quad_tol: float = 1e-10) -> np.ndarray:
+def corrected_potential_samples(A: PotentialField, y, axes) -> np.ndarray:
     """Pointwise A_y on the tensor grid spanned by ``axes`` (needs the jacobian).
 
     Differentiating the staircase sum gives, per component n,
@@ -277,7 +259,6 @@ def corrected_potential_samples(A: PotentialField, y, axes, quad_tol: float = 1e
                 axes[m - 1],
                 axes[m:],
                 float(y[m - 1]),
-                quad_tol,
             )
         out[n - 1] = np.broadcast_to(comp, shape)
     return out
@@ -301,7 +282,7 @@ def corrected_potential(A: PotentialField, phase: GaugePhase, grid: Grid) -> Cor
     y = phase.base_point
     if A.has_jacobian:
         construction = "direct_formula"
-        samples = corrected_potential_samples(A, y, grid.axes, phase.quad_tol)
+        samples = corrected_potential_samples(A, y, grid.axes)
     else:
         construction = "grad_of_phase"
         if phase.samples.grid.shape != grid.shape:
@@ -366,7 +347,6 @@ def make_shift(
     y,
     grid: Grid,
     theta: float = 0.0,
-    quad_tol: float = 1e-10,
     normalization: str = "at_base",
     max_loss: float = 1e-6,
 ) -> ShiftOp:
@@ -374,7 +354,7 @@ def make_shift(
     steps = grid.is_lattice_vector(y)
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
-    phase = rephase_field(A, y, grid, quad_tol=quad_tol, normalization=normalization)
+    phase = rephase_field(A, y, grid, normalization=normalization)
     factor = np.exp(1j * (theta + phase.samples.values))
     return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, factor=factor, theta=theta, max_loss=max_loss)
 
@@ -435,11 +415,11 @@ def shift_invert(g: ShiftOp, v: ComplexField) -> ComplexField:
     return ComplexField(v.grid, _shift_values(v.values * np.conj(g.factor), neg))
 
 
-def shifted_corrected_samples(A: PotentialField, y, grid: Grid, quad_tol: float = 1e-10) -> np.ndarray:
+def shifted_corrected_samples(A: PotentialField, y, grid: Grid) -> np.ndarray:
     """Samples of A_y(. + y) on the grid: the potential seen from the moving frame."""
     y = np.atleast_1d(np.asarray(y, dtype=float))
     axes = [ax + yi for ax, yi in zip(grid.axes, y)]
-    return corrected_potential_samples(A, y, axes, quad_tol)
+    return corrected_potential_samples(A, y, axes)
 
 
 class ShiftedCorrectedField:
@@ -450,21 +430,20 @@ class ShiftedCorrectedField:
     corrected-potential formula rather than from interpolation.
     """
 
-    def __init__(self, A: PotentialField, y, quad_tol: float = 1e-10):
+    def __init__(self, A: PotentialField, y):
         self.A = A
         self.y = np.atleast_1d(np.asarray(y, dtype=float))
-        self.quad_tol = quad_tol
 
     def on_axes(self, axes) -> np.ndarray:
         shifted = [np.asarray(ax) + yi for ax, yi in zip(axes, self.y)]
-        return corrected_potential_samples(self.A, self.y, shifted, self.quad_tol)
+        return corrected_potential_samples(self.A, self.y, shifted)
 
 
 # ---------------------------------------------------------------------------
 # Potential at infinity and the composition law
 # ---------------------------------------------------------------------------
 
-def potential_at_infinity(A: PotentialField, trajectory, window: Grid, quad_tol: float = 1e-10):
+def potential_at_infinity(A: PotentialField, trajectory, window: Grid):
     """Follow A_{y_k}(. + y_k) along a diverging trajectory on a fixed window.
 
     Returns the last sample together with a convergence report on the
@@ -478,7 +457,7 @@ def potential_at_infinity(A: PotentialField, trajectory, window: Grid, quad_tol:
     norms = [float(np.linalg.norm(y)) for y in traj]
     if any(b <= a for a, b in zip(norms[:-1], norms[1:])):
         raise ValueError(f"trajectory norms must increase strictly, got {norms}")
-    samples = [shifted_corrected_samples(A, y, window, quad_tol) for y in traj]
+    samples = [shifted_corrected_samples(A, y, window) for y in traj]
     distances = [float(np.max(np.abs(b - a))) for a, b in zip(samples[:-1], samples[1:])]
     report = {
         "distances": distances,
@@ -496,7 +475,7 @@ def composition_constant(A: PotentialField, y1, y2, grid: Grid) -> dict:
     lattice-periodic or constant-curl fields; the nodewise spread reports how
     far the given field is from admissibility (admissible when the spread is
     at most 1e-8).  Also checks gamma(y, -y) = 0 and the inverse law by a
-    shift round-trip on a test bump.  Phases use the quadrature tolerance 1e-10.
+    shift round-trip on a test bump.
     A y2 or y1 so long that a move by y2 or by -y1 keeps no node of the window
     raises ``ValueError``: there is nothing to compare.
     """

@@ -247,8 +247,13 @@ class ExtractOpts:
     tail_window: int = 3
     agree_tol: float = 5e-2
     window_radius: float = 6.0
-    quad_tol: float = 1e-10
     p: float = 4.0  # exponent for the localization scan and remainder norms
+
+    def __post_init__(self):
+        if self.tail_window < 1:
+            raise ValueError(f"tail_window must be >= 1, got {self.tail_window}")
+        if self.max_profiles < 0:
+            raise ValueError(f"max_profiles must be >= 0, got {self.max_profiles}")
 
 
 def _tail_average(fields: list, grid: Grid, wmask=None) -> ComplexField:
@@ -334,7 +339,8 @@ def extract_profiles(
         if max(tail_vals) < opts.eps_mass:
             break
         traj = [s["argmax"] for s in scans]
-        tail_norms = [float(np.linalg.norm(y)) for y in traj[K - opts.tail_window:]]
+        tail_traj = traj[K - opts.tail_window:]
+        tail_norms = [float(np.linalg.norm(y)) for y in tail_traj]
         # diverging means the radii keep growing by at least a lattice spacing
         # over the tail; a parked maximizer belongs to an earlier term's cell
         diverging = (
@@ -350,7 +356,7 @@ def extract_profiles(
             break
 
         def shift_to(k):
-            return make_shift(A, traj[k], grid, quad_tol=opts.quad_tol, max_loss=0.9)
+            return make_shift(A, traj[k], grid, max_loss=0.9)
 
         tail_shifts = {k: shift_to(k) for k in range(K - opts.tail_window, K)}
         inverted = [shift_invert(g, remainders[k]) for k, g in tail_shifts.items()]
@@ -362,9 +368,7 @@ def extract_profiles(
             )
 
         a_conv = None
-        tail_traj = [traj[k] for k in range(K - opts.tail_window, K)]
-        norms = [float(np.linalg.norm(y)) for y in tail_traj]
-        if all(b > a for a, b in zip(norms[:-1], norms[1:])):
+        if all(b > a for a, b in zip(tail_norms[:-1], tail_norms[1:])):
             # convergence is judged on the bounded profile window and needs
             # strictly growing radii; a tail that parks for a step is still
             # measured in the frame of its last center below
@@ -372,11 +376,11 @@ def extract_profiles(
             if n_probe % 2 == 0:
                 n_probe -= 1
             probe = Grid(opts.window_radius, n_probe, dim=grid.dim)
-            _, rep = potential_at_infinity(A, tail_traj, probe, quad_tol=opts.quad_tol)
+            _, rep = potential_at_infinity(A, tail_traj, probe)
             a_conv = rep["converged"]
         # the energy samples live on the full grid (the profile vanishes
         # outside its window, so the far values are inert)
-        a_inf = shifted_corrected_samples(A, tail_traj[-1], grid, opts.quad_tol)
+        a_inf = shifted_corrected_samples(A, tail_traj[-1], grid)
 
         for k in range(K):
             g = tail_shifts.pop(k) if k in tail_shifts else shift_to(k)

@@ -577,9 +577,9 @@ def lattice_steps(grid: Grid, y_step: Optional[float]) -> list:
     return [m * h for m, h in zip(ms, grid.h)]
 
 
-def check_ray_box(R: Optional[float], T: float) -> None:
-    """Raise ``ValueError`` unless R is None or finite and >= 0, and T is finite and > 0."""
-    if R is not None and not (np.isfinite(R) and R >= 0):
+def check_ray_box(R: float, T: float) -> None:
+    """Raise ``ValueError`` unless R is finite and >= 0, and T is finite and > 0."""
+    if not (np.isfinite(R) and R >= 0):
         raise ValueError(f"R must be finite and >= 0, got {R}")
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and > 0, got {T}")
@@ -590,7 +590,7 @@ def landscape_eval(
     gs: GroundState,
     params: FunctionalParams,
     grid: Grid,
-    R: Optional[float] = None,
+    R: float,
     T: float = 3.0,
     y_step: Optional[float] = None,
 ) -> LandscapeResult:
@@ -604,7 +604,7 @@ def landscape_eval(
     surface maximum must sit strictly between c_inf and 2 c_inf, below
     c_inf (1 + sigma)^{p/(p-2)}.
 
-    Shifts use ``make_shift``'s quadrature tolerance 1e-10.  The seed point
+    Shifts integrate their phases to ``gauge.QUAD_TOL``.  The seed point
     is the lattice point closest to the origin among those within 1e-2
     (relative) of the maximum.  Eta matches scan 61 values of t in [0, T]
     and accept a relative deviation up to 1e-3.  A negative or non-finite R
@@ -613,8 +613,6 @@ def landscape_eval(
     """
     check_ray_box(R, T)
     steps = lattice_steps(grid, y_step)
-    if R is None:
-        R = 6.0 * gs.decay_length
     p = params.p
     w = gs.on_grid(grid)
     prep = prepare_potential(A, grid)

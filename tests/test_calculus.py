@@ -41,6 +41,8 @@ def test_grid_validation():
         Grid(4.0, 2, dim=1)
     with pytest.raises(ValueError, match="positive"):
         Grid(-1.0, 33, dim=2)
+    with pytest.raises(ValueError, match="whole"):
+        Grid((4.0, 2.0), (65.5, 33))
     g = Grid((4.0, 2.0), (65, 33))
     assert g.dim == 2 and g.h == (0.125, 0.125)
     assert g.axes[0][32] == 0.0  # center node exists

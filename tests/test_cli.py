@@ -291,10 +291,28 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("extract", {"eps_mas": 0.5}),
         ("profiles", [{"width": 0.8, "trajectory": 4.0}]),
         ("field", 5),
+        ("extract", {"tail_window": 0}),
+        ("extract", {"max_profiles": -1}),
+        ("extract", {"p": 1.5}),
+        ("grid", {"L": [12.0, 6.0], "n": [97.6, 49]}),
+        ("grid", {"L": 6.0, "n": 49, "dim": 2.5}),
+        ("K", 6.7),
+        ("extract", {"max_profiles": 1.9}),
+        ("extract", {"tail_window": 3.5}),
+        ("noise", {"seed": 0.5}),
     ],
-    ids=["scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number"],
+    ids=[
+        "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
+        "max-profiles-negative", "p-1.5", "n-fraction", "dim-fraction", "K-fraction", "max-profiles-fraction",
+        "tail-window-fraction", "seed-fraction",
+    ],
 )
-def test_malformed_profiles_spec_exits_1(tmp_path, capsys, section, value):
+def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):
+    # every option is checked before the sequence is synthesized
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesize_sequence ran")
+
+    monkeypatch.setattr(cli, "synthesize_sequence", no_synthesis)
     spec = {
         "grid": {"L": [12.0, 6.0], "n": [97, 49]},
         "K": 6,
@@ -308,10 +326,31 @@ def test_malformed_profiles_spec_exits_1(tmp_path, capsys, section, value):
     assert len(err) == 1 and err[0].startswith("error:"), err
 
 
-@pytest.mark.parametrize("argv", [["conditions", "--tol", "1e-3"], ["landscape", "--seed", "1"]])
-def test_unread_flags_rejected(argv):
-    # --tol and --seed exist only where a command reads them
-    assert run(argv) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conditions", "--tol", "1e-3"],
+        ["landscape", "--seed", "1"],
+        ["groundstate", "--L", "4"],
+        ["groundstate", "--n", "33"],
+        ["groundstate", "--V", "const:v=2"],
+        ["gauge", "--y", "1,2", "--tol", "1e-8"],
+    ],
+)
+def test_unread_flags_rejected(tmp_path, argv):
+    # each flag exists only where a command reads it
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("command", ["landscape", "solve"])
+def test_missing_R_exits_1_before_shooting(tmp_path, capsys, monkeypatch, command):
+    def no_shots(*args, **kwargs):
+        raise AssertionError("radial_ground_state ran")
+
+    monkeypatch.setattr(cli, "radial_ground_state", no_shots)
+    assert run([command, "--field", "landau:b=0.5", "--out", str(tmp_path / "out")]) == 1
+    assert "--R" in capsys.readouterr().err
 
 
 def test_profiles_seed_zero_overrides_spec(tmp_path):

@@ -109,10 +109,10 @@ def test_table_phase_matches_staircase(name, grid, steps):
     tol = EXACT_TOL if name != "gaussian" else 1e-9
     for k in steps:
         y = np.array(k) * np.array(grid.h)
-        direct = _phase_values(A, y, grid.axes, 1e-10)
+        direct = _phase_values(A, y, grid.axes)
         tabled = rephase_field(A, y, grid).samples.values
         assert np.max(np.abs(tabled - direct)) <= tol, (name, k)
-    assert ("phase_tables", id(A), 1e-10) in grid._cache
+    assert ("phase_tables", id(A)) in grid._cache
 
 
 def test_phase_outside_window_keeps_staircase():
@@ -120,7 +120,7 @@ def test_phase_outside_window_keeps_staircase():
     g = Grid(2.0, 17, dim=2)
     for y in [(3.0, 0.25), (0.5, -2.25), (0.3, 0.1)]:  # beyond the window, or off the lattice
         ph = rephase_field(A, y, g)
-        assert np.array_equal(ph.samples.values, _phase_values(A, np.array(y), g.axes, 1e-10))
+        assert np.array_equal(ph.samples.values, _phase_values(A, np.array(y), g.axes))
     assert not any(key[0] == "phase_tables" for key in getattr(g, "_cache", {}))
 
 
@@ -139,15 +139,13 @@ def test_tables_built_once_per_field_and_grid():
     assert built > 0
     g2 = make_shift(A, (-0.75, 2.0), g)
     assert len(calls) == built
-    # a different tolerance is a different table
-    make_shift(A, (1.0, 0.5), g, quad_tol=1e-8)
-    assert len(calls) > built
     # a distinct field on the same grid gets its own tables
     B = field_library("landau", b=0.5)
     gB = make_shift(B, (-0.75, 2.0), g)
     assert np.array_equal(gB.phase.samples.values, rephase_field(B, (-0.75, 2.0), g).samples.values)
-    assert np.max(np.abs(gB.phase.samples.values - _phase_values(B, gB.y, g.axes, 1e-10))) <= EXACT_TOL
-    assert np.max(np.abs(g2.phase.samples.values - _phase_values(A, g2.y, g.axes, 1e-10))) <= 1e-9
+    assert {("phase_tables", id(A)), ("phase_tables", id(B))} <= set(g._cache)
+    assert np.max(np.abs(gB.phase.samples.values - _phase_values(B, gB.y, g.axes))) <= EXACT_TOL
+    assert np.max(np.abs(g2.phase.samples.values - _phase_values(A, g2.y, g.axes))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def test_quadrature_error_carries_worst_segment():
     g = Grid(1.0, 9, dim=2)
     for _ in range(2):  # a failed table build is not cached, so it fails again
         with pytest.raises(QuadratureError, match="segment"):
-            rephase_field(A, (0.5, 0.5), g, quad_tol=1e-14)
+            rephase_field(A, (0.5, 0.5), g)
         assert not any(key[0] == "phase_tables" for key in getattr(g, "_cache", {}))
 
 

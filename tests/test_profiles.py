@@ -179,6 +179,12 @@ def test_synthesize_rejects_escaping_trajectory():
         synthesize_sequence(spec, g, K=8)
 
 
+@pytest.mark.parametrize("opts", [{"tail_window": 0}, {"max_profiles": -1}])
+def test_extract_opts_rejects_bad_counts(opts):
+    with pytest.raises(ValueError, match=next(iter(opts))):
+        ExtractOpts(**opts)
+
+
 def test_synthesize_spreading_norm_decay():
     spec = SyntheticSpec(profiles=[], spreading_amplitude=1.0, spreading_width=1.0)
     g = Grid(12.0, 193, dim=2)
@@ -250,7 +256,7 @@ def test_parked_tail_term_measured_in_its_own_gauge():
     term = dec.terms[1]
     assert np.array_equal(term.trajectory[-1], centers[-1])
     assert term.a_inf_converged is None
-    assert np.array_equal(term.a_inf, shifted_corrected_samples(A, centers[-1], g, opts.quad_tol))
+    assert np.array_equal(term.a_inf, shifted_corrected_samples(A, centers[-1], g))
 
     rep = verify_decomposition(dec, seq, A, PARAMS)
     e_tail = min(energy_EA(u, A) for u in seq[3:])
