@@ -301,8 +301,8 @@ def _run_solve(args) -> int:
 
 _EXTRACT_CASTS = {
     "eps_mass": float,
-    "max_profiles": _whole,
-    "tail_window": _whole,
+    "max_profiles": float,
+    "tail_window": float,
     "agree_tol": float,
     "window_radius": float,
     "p": float,

@@ -17,6 +17,7 @@ from .calculus import (
     BOUNDARY_MASS_TOL,
     ComplexField,
     Grid,
+    _whole,
     bump,
     energy_EA,
     lp_norm,
@@ -250,6 +251,8 @@ class ExtractOpts:
     p: float = 4.0  # exponent for the localization scan and remainder norms
 
     def __post_init__(self):
+        self.max_profiles = _whole(self.max_profiles)
+        self.tail_window = _whole(self.tail_window)
         if self.tail_window < 1:
             raise ValueError(f"tail_window must be >= 1, got {self.tail_window}")
         if self.max_profiles < 0:

@@ -330,17 +330,19 @@ def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section,
     "argv",
     [
         ["conditions", "--tol", "1e-3"],
-        ["landscape", "--seed", "1"],
+        ["landscape", "--R", "1", "--seed", "1"],
         ["groundstate", "--L", "4"],
         ["groundstate", "--n", "33"],
         ["groundstate", "--V", "const:v=2"],
         ["gauge", "--y", "1,2", "--tol", "1e-8"],
     ],
 )
-def test_unread_flags_rejected(tmp_path, argv):
-    # each flag exists only where a command reads it
+def test_unread_flags_rejected(tmp_path, capsys, argv):
+    # each flag exists only where a command reads it; the other flags are
+    # complete, so the error names the unread one
     assert run(argv + ["--out", str(tmp_path / "out")]) == 1
     assert not os.path.exists(tmp_path / "out")
+    assert argv[-2] in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["landscape", "solve"])

@@ -179,9 +179,17 @@ def test_synthesize_rejects_escaping_trajectory():
         synthesize_sequence(spec, g, K=8)
 
 
-@pytest.mark.parametrize("opts", [{"tail_window": 0}, {"max_profiles": -1}])
-def test_extract_opts_rejects_bad_counts(opts):
-    with pytest.raises(ValueError, match=next(iter(opts))):
+@pytest.mark.parametrize(
+    "opts, match",
+    [
+        ({"tail_window": 0}, "tail_window"),
+        ({"max_profiles": -1}, "max_profiles"),
+        ({"tail_window": 3.5}, "whole number"),
+        ({"max_profiles": 1.9}, "whole number"),
+    ],
+)
+def test_extract_opts_rejects_bad_counts(opts, match):
+    with pytest.raises(ValueError, match=match):
         ExtractOpts(**opts)
 
 
