@@ -185,14 +185,16 @@ class _GridField:
 
     def boundary_mass_fraction(self) -> float:
         """Share of the quadrature mass of |u|^2 on the outermost node layer."""
-        w = self.grid.weights()
-        dens = w * np.abs(self.values) ** 2
-        total = float(np.sum(dens))
-        if total == 0.0:
-            return 0.0
-        inner_sl = tuple(slice(1, -1) for _ in range(self.grid.dim))
-        inner_mass = float(np.sum(dens[inner_sl]))
-        return (total - inner_mass) / total
+        return _boundary_fraction(self.grid.weights() * np.abs(self.values) ** 2)
+
+
+def _boundary_fraction(dens: np.ndarray) -> float:
+    """Share of the total of ``dens`` on the outermost node layer (0 for a zero total)."""
+    total = float(np.sum(dens))
+    if total == 0.0:
+        return 0.0
+    inner_mass = float(np.sum(dens[tuple(slice(1, -1) for _ in range(dens.ndim))]))
+    return (total - inner_mass) / total
 
 
 class ComplexField(_GridField):
@@ -327,12 +329,15 @@ def covariant_gradient(u: ComplexField, A) -> np.ndarray:
 
 def staggered_gradient(u: ComplexField, A) -> list:
     """Per-axis midpoint values a_m u_+ - b_m u_- of the covariant derivative (axis m has n+1 entries)."""
-    grid = u.grid
-    prep = prepare_potential(A, grid)
-    vals = u.values
+    return _edge_values(u.values, prepare_potential(A, u.grid))
+
+
+def _edge_values(vals: np.ndarray, prep: "PreparedPotential") -> list:
+    """``staggered_gradient`` on raw node values."""
+    dim = prep.grid.dim
     out = []
     for m, (a, b) in enumerate(zip(prep.a, prep.b)):
-        lo, hi = _along(grid.dim, m, slice(0, -1)), _along(grid.dim, m, slice(1, None))
+        lo, hi = _along(dim, m, slice(0, -1)), _along(dim, m, slice(1, None))
         G = np.zeros(a.shape, dtype=complex)
         np.multiply(a[lo], vals, out=G[lo])
         G[hi] -= b[hi] * vals
@@ -390,8 +395,11 @@ BOUNDARY_MASS_TOL = 1e-6
 
 def energy_EA(u: ComplexField, A) -> float:
     """Quadrature of |grad_A u|^2 over the window (staggered midpoint form)."""
-    grid = u.grid
-    G = staggered_gradient(u, A)
+    return _edge_energy(staggered_gradient(u, A), u.grid)
+
+
+def _edge_energy(G: list, grid: Grid) -> float:
+    """Sum over axes of the midpoint quadrature of |G_m|^2, G the staggered gradient."""
     total = 0.0
     for m in range(grid.dim):
         total += float(np.sum(_mid_measure(grid, m) * np.abs(G[m]) ** 2))
@@ -501,14 +509,22 @@ def pointwise_bounds_check(u: ComplexField, A, lam: float = 1.0, n_bumps: int = 
 def eta_map(u: ComplexField, params: FunctionalParams) -> np.ndarray:
     """Weighted |u|^p centroids in the first dim components, total |u|^p mass last."""
     grid = u.grid
-    W = grid.weights()
-    dens = W * np.abs(u.values) ** params.p
+    return _eta_sums(grid.weights() * np.abs(u.values) ** params.p, _eta_kernels(grid))
+
+
+def _eta_kernels(grid: Grid) -> list:
+    """The centroid weights x_i / (1 + |x|) of ``eta_map``, one node array per axis."""
     pts = grid.nodes()
     r = np.sqrt(np.sum(pts**2, axis=-1))
-    out = np.empty(grid.dim + 1)
-    for i in range(grid.dim):
-        out[i] = float(np.sum(pts[..., i] / (1.0 + r) * dens))
-    out[grid.dim] = float(np.sum(dens))
+    return [pts[..., i] / (1.0 + r) for i in range(grid.dim)]
+
+
+def _eta_sums(dens: np.ndarray, kernels: list) -> np.ndarray:
+    """``eta_map`` from the density W|u|^p: its kernel sums, then its total."""
+    out = np.empty(len(kernels) + 1)
+    for i, k in enumerate(kernels):
+        out[i] = float(np.sum(k * dens))
+    out[-1] = float(np.sum(dens))
     return out
 
 

@@ -355,7 +355,10 @@ def _read_profiles_spec(text: str):
     )
     ex = _spec_section(doc.get("extract", {}), "extract", tuple(_EXTRACT_CASTS) + ("rho",))
     opts = ExtractOpts(**{key: cast(ex[key]) for key, cast in _EXTRACT_CASTS.items() if key in ex})
-    return grid, _whole(doc.get("K", 8)), spec, opts, float(ex.get("rho", 1.0))
+    K = _whole(doc.get("K", 8))
+    if K < 2 * opts.tail_window:
+        raise ValueError(f"K must be at least 2 * tail_window = {2 * opts.tail_window}, got {K}")
+    return grid, K, spec, opts, float(ex.get("rho", 1.0))
 
 
 def _run_profiles(args) -> int:

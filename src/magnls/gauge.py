@@ -159,13 +159,42 @@ def _phase_tables(A: PotentialField, grid: Grid) -> list:
     return grid._cached(("phase_tables", id(A)), build)[1]
 
 
-def _table_phase(tables: list, index) -> np.ndarray:
-    """phi_y at the node ``index`` of y: -sum_m [C_m(y_<m, x_m, x_>m) - C_m(y_<=m, x_>m)]."""
-    total = np.zeros(tables[0].shape)
-    for m, C in enumerate(tables, start=1):
-        T = C[tuple(index[: m - 1])]
-        total += (T - T[index[m - 1]]).reshape((1,) * (m - 1) + T.shape)
-    return -total
+def _first_axis_factor(A: PotentialField, grid: Grid) -> np.ndarray:
+    """E0 = e^{-i C_1} on the grid: the factor every tabled shift of A shares.
+
+    Cached next to the phase tables; the cached value holds A, as theirs does.
+    """
+    return grid._cached(("first_axis_factor", id(A)), lambda: (A, np.exp(-1j * _phase_tables(A, grid)[0])))[1]
+
+
+def _split_phase(A: PotentialField, y: np.ndarray, grid: Grid, normalization: str):
+    """phi_y on the grid as ``(C, psi)`` with phi_y = psi - C, or ``(None, phi_y)``.
+
+    For a lattice y whose node lies inside the window the tables give
+    phi_y = -C_1(x) + psi_y(x_2..x_N): C is the table C_1, which does not
+    depend on y, and psi has shape (1, n_2, .., n_N).  psi gathers
+
+        C_1(y_1, x_>1) - sum_{m>=2} [C_m(y_<m, x_m, x_>m) - C_m(y_<=m, x_>m)].
+
+    y = 0 (phase identically zero), off-lattice y and y beyond the window
+    return the whole phase as psi.
+    """
+    if np.all(y == 0.0):
+        return None, np.zeros(grid.shape)
+    index = _window_index(grid, y)
+    if index is None:
+        C, psi = None, _phase_values(A, y, grid.axes)
+    else:
+        tables = _phase_tables(A, grid)
+        total = np.zeros((1,) + grid.shape[1:])
+        total -= tables[0][index[0]]
+        for m, Cm in enumerate(tables[1:], start=2):
+            T = Cm[tuple(index[: m - 1])]
+            total += (T - T[index[m - 1]]).reshape((1,) * (m - 1) + T.shape)
+        C, psi = tables[0], -total
+    if normalization == "at_half":
+        psi = psi - float(_phase_values(A, y, [np.array([yi / 2.0]) for yi in y]).reshape(()))
+    return C, psi
 
 
 def _window_index(grid: Grid, y: np.ndarray):
@@ -202,17 +231,8 @@ def rephase_field(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (grid.dim,):
         raise ValueError(f"base point shape {y.shape}, expected ({grid.dim},)")
-    if np.all(y == 0.0):
-        vals = np.zeros(grid.shape)
-    else:
-        index = _window_index(grid, y)
-        if index is None:
-            vals = _phase_values(A, y, grid.axes)
-        else:
-            vals = _table_phase(_phase_tables(A, grid), index)
-        if normalization == "at_half":
-            half = _phase_values(A, y, [np.array([yi / 2.0]) for yi in y])
-            vals = vals - float(half.reshape(()))
+    C, psi = _split_phase(A, y, grid, normalization)
+    vals = psi if C is None else psi - C
     return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals))
 
 
@@ -355,8 +375,21 @@ def make_shift(
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
     phase = rephase_field(A, y, grid, normalization=normalization)
-    factor = np.exp(1j * (theta + phase.samples.values))
+    factor = _shift_factor(A, y, grid, theta, normalization)
     return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, factor=factor, theta=theta, max_loss=max_loss)
+
+
+def _shift_factor(A: PotentialField, y: np.ndarray, grid: Grid, theta: float, normalization: str) -> np.ndarray:
+    """e^{i(theta + phi_y)} on the grid for a lattice y.
+
+    Split as E0 e^{i(theta + psi_y)} (``_split_phase``), so per y only the
+    (dim-1)-dimensional exponential is taken.  Every built-in field but
+    ``symmetric`` has A_1 = 0, so E0 is exactly 1 and the product is
+    e^{i(theta + phi_y)} to the bit.
+    """
+    C, psi = _split_phase(A, y, grid, normalization)
+    factor = np.exp(1j * (theta + psi))
+    return factor if C is None else _first_axis_factor(A, grid) * factor
 
 
 def _overlap(shape, steps):
@@ -380,23 +413,23 @@ def _shift_values(values: np.ndarray, steps) -> np.ndarray:
     return out
 
 
-def _lost_fraction(u: ComplexField, steps) -> float:
-    """Quadrature mass fraction of |u|^2 that a move by ``steps`` nodes drops."""
-    dens = u.grid.weights() * np.abs(u.values) ** 2
+def _check_loss(dens: np.ndarray, steps, max_loss: float, name: str) -> None:
+    """Raise ``MassLossError`` if a move by ``steps`` nodes drops more than
+    ``max_loss`` of the quadrature mass ``dens`` = W|u|^2."""
     total = float(np.sum(dens))
     if total == 0.0:
-        return 0.0
-    src, _ = _overlap(u.values.shape, steps)
-    return (total - float(np.sum(dens[src]))) / total
+        return
+    src, _ = _overlap(dens.shape, steps)
+    frac = (total - float(np.sum(dens[src]))) / total
+    if frac > max_loss:
+        raise MassLossError(f"{name} would drop a boundary-mass fraction {frac:.3e} > allowed {max_loss:.3e}")
 
 
 def _check_move(g: ShiftOp, u: ComplexField, steps, name: str) -> None:
     """Raise unless u lives on g's grid and a move by ``steps`` keeps all but ``g.max_loss`` of |u|^2."""
     if u.grid.shape != g.grid.shape:
         raise ValueError("field and shift live on different grids")
-    frac = _lost_fraction(u, steps)
-    if frac > g.max_loss:
-        raise MassLossError(f"{name} would drop a boundary-mass fraction {frac:.3e} > allowed {g.max_loss:.3e}")
+    _check_loss(u.grid.weights() * np.abs(u.values) ** 2, steps, g.max_loss, name)
 
 
 def shift_apply(g: ShiftOp, u: ComplexField) -> ComplexField:

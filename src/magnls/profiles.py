@@ -257,6 +257,10 @@ class ExtractOpts:
             raise ValueError(f"tail_window must be >= 1, got {self.tail_window}")
         if self.max_profiles < 0:
             raise ValueError(f"max_profiles must be >= 0, got {self.max_profiles}")
+        for name in ("window_radius", "eps_mass"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _tail_average(fields: list, grid: Grid, wmask=None) -> ComplexField:

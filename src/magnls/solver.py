@@ -21,16 +21,20 @@ from .calculus import (
     bump,
     el_residual,
     energy_EA,
-    eta_map,
     functional_I,
     functional_J,
     lp_norm,
     magnetic_laplacian,
     prepare_potential,
+    _boundary_fraction,
+    _edge_energy,
+    _edge_values,
+    _eta_kernels,
+    _eta_sums,
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import make_shift, potential_at_infinity, shift_apply
+from .gauge import _check_loss, _shift_factor, _shift_values, make_shift, potential_at_infinity, shift_apply
 
 __all__ = [
     "GroundState",
@@ -585,6 +589,53 @@ def check_ray_box(R: float, T: float) -> None:
         raise ValueError(f"T must be finite and > 0, got {T}")
 
 
+def _surface_scan(A: PotentialField, w: ComplexField, params: FunctionalParams, y_points: np.ndarray, T: float):
+    """Ray peak t and value, eta and boundary fraction of g_y w at each y, on raw arrays.
+
+    Per point this is ``functional_J``, ``lp_norm``, ``eta_map`` and
+    ``boundary_mass_fraction`` of ``shift_apply(make_shift(A, y, grid,
+    max_loss=0.5), w)``, summed in their order: the shifted array is built
+    once, the energy comes from the prepared edge coefficients, and every
+    modulus quantity from one |g_y w|.  The mass check reads W|w|^2, the
+    eta kernels and W V are built once.  Returns (t_max, values, etas,
+    largest boundary fraction).
+    """
+    grid = w.grid
+    p = params.p
+    prep = prepare_potential(A, grid)
+    W = grid.weights()
+    WV = W * _v_samples(params, grid)
+    kernels = _eta_kernels(grid)
+    mass = W * np.abs(w.values) ** 2
+    t_max = np.empty(len(y_points))
+    values = np.empty(len(y_points))
+    etas = np.empty((len(y_points), grid.dim + 1))
+    bmass = 0.0
+    for i, y in enumerate(y_points):
+        steps = grid.is_lattice_vector(y)
+        factor = _shift_factor(A, y, grid, 0.0, "at_base")
+        _check_loss(mass, steps, 0.5, "shift")
+        # named, as in shift_apply, so the product rounds as it does there
+        shifted = _shift_values(w.values, steps)
+        gu = factor * shifted
+        mod = np.abs(gu)
+        mod2 = mod**2
+        densp = W * mod**p
+        J = _edge_energy(_edge_values(gu, prep), grid) + float(np.sum(WV * mod2))
+        M = float(np.sum(densp) ** (1.0 / p)) ** p
+        tbar, peak = _ray_peak(J, M, p)
+        if tbar > T:
+            raise RayRisingError(
+                f"ray through y={y.tolist()} still rising at t = T = {T} "
+                f"(peak at t = {tbar:.3f}); increase T"
+            )
+        t_max[i] = tbar
+        values[i] = peak
+        etas[i] = _eta_sums(densp, kernels)
+        bmass = max(bmass, _boundary_fraction(W * mod2))
+    return t_max, values, etas, bmass
+
+
 def landscape_eval(
     A: PotentialField,
     gs: GroundState,
@@ -604,41 +655,28 @@ def landscape_eval(
     surface maximum must sit strictly between c_inf and 2 c_inf, below
     c_inf (1 + sigma)^{p/(p-2)}.
 
-    Shifts integrate their phases to ``gauge.QUAD_TOL``.  The seed point
-    is the lattice point closest to the origin among those within 1e-2
-    (relative) of the maximum.  Eta matches scan 61 values of t in [0, T]
-    and accept a relative deviation up to 1e-3.  A negative or non-finite R
-    and a non-positive or non-finite T raise ``ValueError`` (``check_ray_box``),
-    as does a ``y_step`` that is no positive multiple of h (``lattice_steps``).
+    Each point also records eta(g_y w) and the boundary fraction of
+    |g_y w|^2; the result keeps the largest fraction.  The scan works on raw
+    arrays (``_surface_scan``) with the factor of ``make_shift(A, y, grid,
+    max_loss=0.5)``, whose phase is integrated to ``gauge.QUAD_TOL``, and
+    raises its ``MassLossError`` when a shift drops more than half of the
+    mass of w.  The seed point is the lattice point closest to the origin
+    among those within 1e-2 (relative) of the maximum.  Eta matches scan 61
+    values of t in [0, T] and accept a relative deviation up to 1e-3.  A
+    negative or non-finite R and a non-positive or non-finite T raise
+    ``ValueError`` (``check_ray_box``), as does a ``y_step`` that is no
+    positive multiple of h (``lattice_steps``).
     """
     check_ray_box(R, T)
     steps = lattice_steps(grid, y_step)
     p = params.p
-    w = gs.on_grid(grid)
-    prep = prepare_potential(A, grid)
     # the lattice vectors in the closed ball of radius R, in lexicographic order
     ranges = [np.arange(-int(np.floor(R / s)), int(np.floor(R / s)) + 1) * s for s in steps]
     mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
     y_points = mesh[np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12]
-    t_max = np.empty(len(y_points))
-    values = np.empty(len(y_points))
-    etas = np.empty((len(y_points), grid.dim + 1))
-    bmass = 0.0
-    for i, y in enumerate(y_points):
-        gu = shift_apply(make_shift(A, y, grid, max_loss=0.5), w)
-        J = functional_J(gu, prep, params)
-        M = lp_norm(gu, p) ** p
-        tbar, peak = _ray_peak(J, M, p)
-        if tbar > T:
-            raise RayRisingError(
-                f"ray through y={y.tolist()} still rising at t = T = {T} "
-                f"(peak at t = {tbar:.3f}); increase T"
-            )
-        t_max[i] = tbar
-        values[i] = peak
-        etas[i] = eta_map(gu, params)
-        bmass = max(bmass, gu.boundary_mass_fraction())
-    del gu  # freed before the 129^dim curl below, which sets peak memory in 3-D
+    # the per-point arrays are gone on return, before the 129^dim curl
+    # below, which sets peak memory in 3-D
+    t_max, values, etas, bmass = _surface_scan(A, gs.on_grid(grid), params, y_points, T)
 
     imax = int(np.argmax(values))
     cmax = float(values[imax])
@@ -693,7 +731,7 @@ def landscape_eval(
 
 
 def landscape_seed(land: LandscapeResult, gs: GroundState, A: PotentialField, grid: Grid) -> ComplexField:
-    """Scaled shifted profile t g_y w at the landscape's seed point (quadrature tolerance 1e-10)."""
+    """Scaled shifted profile t g_y w at the landscape's seed point; the shift's phase is integrated to ``gauge.QUAD_TOL``."""
     g = make_shift(A, land.seed_point, grid, max_loss=0.5)
     w = shift_apply(g, gs.on_grid(grid))
     return ComplexField(grid, land.t_max[land.seed_index] * w.values)
@@ -709,9 +747,10 @@ def two_bump_diagnostic(
 ) -> dict:
     """Peak levels along the two-bump surface (diagnostic output only).
 
-    Mixes two antipodally shifted profiles (quadrature tolerance 1e-10) with
-    cosine/sine weights; for a large separation 2R the peak approaches twice
-    the single-bump level.
+    Along each axis, mixes the profiles shifted by -R and +R (phases
+    integrated to ``gauge.QUAD_TOL``) with cosine/sine weights and records
+    the ray peak (1/2 - 1/p)(J/M^{2/p})^{p/(p-2)} of each mix; for a large
+    separation 2R the peak approaches twice the single-bump level.
     """
     p = params.p
     w = gs.on_grid(grid)

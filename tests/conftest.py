@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magnls.calculus import FunctionalParams, Grid, bump
-from magnls.field import field_library
+from magnls.field import PotentialField, field_library
 from magnls.solver import minimize_constrained, radial_ground_state
 
 
@@ -23,6 +23,24 @@ def gs2():
 @pytest.fixture(scope="session")
 def gs3():
     return radial_ground_state(3, 4.0, 1.0)
+
+
+@pytest.fixture(scope="session")
+def first_axis_field():
+    """Builder of a field, in any dim >= 2, whose first component does not
+    vanish: its shifts carry E0 = e^{-i C_1} != 1, unlike every built-in
+    field but ``symmetric``.  It has no jacobian."""
+
+    def build(dim):
+        def ev(p):
+            out = np.zeros_like(p)
+            out[..., 0] = 0.4 * p[..., 1] - 0.2 * np.sin(p[..., 0]) * p[..., -1]
+            out[..., 1] = 0.3 * np.cos(p[..., 0])
+            return out
+
+        return PotentialField(dim, ev)
+
+    return build
 
 
 @pytest.fixture(scope="session")

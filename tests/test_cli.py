@@ -300,11 +300,17 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("extract", {"max_profiles": 1.9}),
         ("extract", {"tail_window": 3.5}),
         ("noise", {"seed": 0.5}),
+        ("extract", {"window_radius": 0}),
+        ("extract", {"window_radius": float("inf")}),
+        ("extract", {"eps_mass": -1}),
+        ("K", 4),
+        ("extract", {"tail_window": 4}),
     ],
     ids=[
         "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
         "max-profiles-negative", "p-1.5", "n-fraction", "dim-fraction", "K-fraction", "max-profiles-fraction",
-        "tail-window-fraction", "seed-fraction",
+        "tail-window-fraction", "seed-fraction", "window-radius-0", "window-radius-inf", "eps-mass-negative",
+        "K-below-two-tail-windows", "tail-window-above-half-K",
     ],
 )
 def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):

@@ -297,6 +297,30 @@ def test_shift_roundtrip_generic_phase_near_exact():
     assert err <= 2e-15  # a couple of ulps of the unit phase rotation
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", ["landau", "gaussian", "symmetric", "custom"])
+def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
+    # the factor is E0 e^{i(theta + psi_y)} with E0 = e^{-i C_1}; where A_1 = 0,
+    # E0 is exactly 1 and the factor keeps the bits of e^{i(theta + phi_y)}
+    if name == "custom":
+        A = first_axis_field(dim)
+    else:
+        spec = dict(TABLE_FIELDS[name])
+        A = field_library(spec.pop("tag"), dim=dim, **spec)
+    grid = Grid(2.0, 33 if dim == 2 else 13, dim=dim)
+    # inside the window, the origin, and beyond the window along axis 0
+    for k in [(3, -5, 1), (-16, 16, 6), (0, 0, 0), (40, 3, -2)]:
+        for theta in (0.0, 0.7):
+            g = make_shift(A, np.array(k[:dim]) * np.array(grid.h), grid, theta=theta, max_loss=1.0)
+            full = np.exp(1j * (theta + g.phase.samples.values))
+            if name in ("landau", "gaussian"):
+                assert g.factor.tobytes() == full.tobytes(), (k, theta)
+            else:
+                # E0 e^{i(theta + psi)} and e^{i(theta + psi - C_1)} round
+                # differently, by a few ulps of the unit rotation
+                assert np.max(np.abs(g.factor - full)) <= 1e-15, (k, theta)
+
+
 def test_shift_rejects_non_lattice():
     A = field_library("zero")
     with pytest.raises(ValueError, match="multiple"):

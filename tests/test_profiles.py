@@ -186,6 +186,12 @@ def test_synthesize_rejects_escaping_trajectory():
         ({"max_profiles": -1}, "max_profiles"),
         ({"tail_window": 3.5}, "whole number"),
         ({"max_profiles": 1.9}, "whole number"),
+        ({"window_radius": 0.0}, "window_radius"),
+        ({"window_radius": -2.0}, "window_radius"),
+        ({"window_radius": float("inf")}, "window_radius"),
+        ({"eps_mass": -1.0}, "eps_mass"),
+        ({"eps_mass": 0.0}, "eps_mass"),
+        ({"eps_mass": float("nan")}, "eps_mass"),
     ],
 )
 def test_extract_opts_rejects_bad_counts(opts, match):
