@@ -119,11 +119,16 @@ def _line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndar
 
 @dataclass
 class GaugePhase:
-    """Sampled re-phasing scalar phi_y with its base point and normalization."""
+    """Sampled re-phasing scalar phi_y with its base point and normalization.
+
+    ``split`` is the ``(C, psi)`` of ``_split_phase`` that the samples were
+    built from; ``make_shift`` builds its factor from it.
+    """
 
     base_point: np.ndarray
     normalization: str
     samples: RealField
+    split: tuple = _dfield(default=(None, None), repr=False)
 
 
 def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
@@ -167,8 +172,10 @@ def _first_axis_factor(A: PotentialField, grid: Grid) -> np.ndarray:
     return grid._cached(("first_axis_factor", id(A)), lambda: (A, np.exp(-1j * _phase_tables(A, grid)[0])))[1]
 
 
-def _split_phase(A: PotentialField, y: np.ndarray, grid: Grid, normalization: str):
+def _split_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalization: str):
     """phi_y on the grid as ``(C, psi)`` with phi_y = psi - C, or ``(None, phi_y)``.
+
+    ``steps`` is ``grid.is_lattice_vector(y)``, which the caller holds.
 
     For a lattice y whose node lies inside the window the tables give
     phi_y = -C_1(x) + psi_y(x_2..x_N): C is the table C_1, which does not
@@ -181,7 +188,7 @@ def _split_phase(A: PotentialField, y: np.ndarray, grid: Grid, normalization: st
     """
     if np.all(y == 0.0):
         return None, np.zeros(grid.shape)
-    index = _window_index(grid, y)
+    index = _window_index(grid, steps)
     if index is None:
         C, psi = None, _phase_values(A, y, grid.axes)
     else:
@@ -197,9 +204,8 @@ def _split_phase(A: PotentialField, y: np.ndarray, grid: Grid, normalization: st
     return C, psi
 
 
-def _window_index(grid: Grid, y: np.ndarray):
-    """Node index of a lattice vector y inside the window, else None."""
-    steps = grid.is_lattice_vector(y)
+def _window_index(grid: Grid, steps):
+    """Node index of the lattice point ``steps`` inside the window, else None (also for ``steps`` None)."""
     if steps is None:
         return None
     index = tuple(grid.node_index(steps).tolist())
@@ -231,9 +237,9 @@ def rephase_field(
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if y.shape != (grid.dim,):
         raise ValueError(f"base point shape {y.shape}, expected ({grid.dim},)")
-    C, psi = _split_phase(A, y, grid, normalization)
+    C, psi = _split_phase(A, y, grid.is_lattice_vector(y), grid, normalization)
     vals = psi if C is None else psi - C
-    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals))
+    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals), split=(C, psi))
 
 
 # ---------------------------------------------------------------------------
@@ -374,20 +380,22 @@ def make_shift(
     steps = grid.is_lattice_vector(y)
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
+    # the factor comes from the phase's own split, so the phase (and, beyond
+    # the window, its staircase quadrature) is computed once
     phase = rephase_field(A, y, grid, normalization=normalization)
-    factor = _shift_factor(A, y, grid, theta, normalization)
+    factor = _shift_factor(A, grid, phase.split, theta)
     return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, factor=factor, theta=theta, max_loss=max_loss)
 
 
-def _shift_factor(A: PotentialField, y: np.ndarray, grid: Grid, theta: float, normalization: str) -> np.ndarray:
-    """e^{i(theta + phi_y)} on the grid for a lattice y.
+def _shift_factor(A: PotentialField, grid: Grid, split: tuple, theta: float) -> np.ndarray:
+    """e^{i(theta + phi_y)} on the grid from the ``(C, psi)`` split of phi_y.
 
-    Split as E0 e^{i(theta + psi_y)} (``_split_phase``), so per y only the
-    (dim-1)-dimensional exponential is taken.  Every built-in field but
+    Taken as E0 e^{i(theta + psi_y)} (``_split_phase``), so per tabled y only
+    the (dim-1)-dimensional exponential is taken.  Every built-in field but
     ``symmetric`` has A_1 = 0, so E0 is exactly 1 and the product is
     e^{i(theta + phi_y)} to the bit.
     """
-    C, psi = _split_phase(A, y, grid, normalization)
+    C, psi = split
     factor = np.exp(1j * (theta + psi))
     return factor if C is None else _first_axis_factor(A, grid) * factor
 

@@ -31,10 +31,19 @@ from .calculus import (
     _edge_values,
     _eta_kernels,
     _eta_sums,
+    _stencil_apply,
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import _check_loss, _shift_factor, _shift_values, make_shift, potential_at_infinity, shift_apply
+from .gauge import (
+    _check_loss,
+    _shift_factor,
+    _shift_values,
+    _split_phase,
+    make_shift,
+    potential_at_infinity,
+    shift_apply,
+)
 
 __all__ = [
     "GroundState",
@@ -613,7 +622,7 @@ def _surface_scan(A: PotentialField, w: ComplexField, params: FunctionalParams, 
     bmass = 0.0
     for i, y in enumerate(y_points):
         steps = grid.is_lattice_vector(y)
-        factor = _shift_factor(A, y, grid, 0.0, "at_base")
+        factor = _shift_factor(A, grid, _split_phase(A, y, steps, grid, "at_base"), 0.0)
         _check_loss(mass, steps, 0.5, "shift")
         # named, as in shift_apply, so the product rounds as it does there
         shifted = _shift_values(w.values, steps)
@@ -863,22 +872,54 @@ def _block_preconditioner(grid: Grid, V: np.ndarray):
     return solve
 
 
-def _residual_operator(u_vals, Avals, Vvals, p, grid):
-    """Real-linear derivative of the Euler-Lagrange residual at u (self-adjoint)."""
+def _linearized_operator(u_vals, prep, Vvals, p, W):
+    """Real-linear derivative of the Euler-Lagrange residual at u, on raw node values.
+
+    L v = S^*S v + (V - |u|^{p-2}) v - (p-2) |u|^{p-4} u Re(conj(u) v), with
+    S^*S from the prepared stencil; self-adjoint in the W inner product.  The
+    local arrays are built once per u.
+    """
     s = np.abs(u_vals)
-    sp2 = s ** (p - 2.0)
+    local = Vvals - s ** (p - 2.0)
+    cu = np.conj(u_vals)
     mask = s > 0
     sp4u = np.zeros_like(u_vals)
     # (p-2) |u|^{p-4} u, written via |u|^{p-3} * (u/|u|) to stay finite near zero
     sp4u[mask] = (p - 2.0) * s[mask] ** (p - 3.0) * (u_vals[mask] / s[mask])
+    stencil = prep.stencil
 
     def apply(v_vals):
-        f = ComplexField(grid, v_vals)
-        lin = magnetic_laplacian(f, Avals) + Vvals * v_vals
-        nl = sp2 * v_vals + sp4u * np.real(np.conj(u_vals) * v_vals)
-        return lin - nl
+        out = _stencil_apply(v_vals, stencil)
+        out /= W
+        out += local * v_vals
+        out -= sp4u * np.real(cu * v_vals)
+        return out
 
     return apply
+
+
+def _stacked(apply, sqw: np.ndarray):
+    """``apply`` on MINRES's (Re, Im)-stacked vectors x of sqrt(W) z: x -> pack(apply(unpack(x))).
+
+    The two halves fill one complex work array, which is divided by sqrt(W)
+    in place; the result is scaled in place and written into a fresh
+    stacked vector.
+    """
+    shape, size = sqw.shape, sqw.size
+    work = np.empty(shape, dtype=complex)
+
+    def matvec(x):
+        work.real = x[:size].reshape(shape)
+        work.imag = x[size:].reshape(shape)
+        np.divide(work, sqw, out=work)
+        out = apply(work)
+        out *= sqw
+        stacked = np.empty((2,) + shape)
+        stacked[0] = out.real
+        stacked[1] = out.imag
+        return stacked.ravel()
+
+    return matvec
 
 
 def critical_point_search(
@@ -899,13 +940,19 @@ def critical_point_search(
     halvings of the step give no sufficient (Armijo) decrease.  A is any
     potential that ``prepare_potential`` takes.
 
-    MINRES is preconditioned by ``_block_preconditioner``: an exact DST-I
-    inverse on the interior nodes and the operator diagonal on the outermost
-    layer, in the sqrt(W)-packed variables it works in.  The full-window
+    MINRES solves each Newton system to the relative forcing
+    ``min(1e-3, max(sqrt(||r||), 1e-6))``.  A looser cap of 0.1 cut the
+    residual only about 2.5x per step on the README ``solve`` case (12
+    Newton steps, 77 matvecs, against 4 and 56 at 1e-3).  MINRES works on
+    the (Re, Im)-stacked vector of sqrt(W) z, and each matvec applies the
+    linearized operator (``_linearized_operator``) to that vector's node
+    values in one complex work array; the Newton gradient uses the same
+    apply.  MINRES is preconditioned by ``_block_preconditioner``: an exact
+    DST-I inverse on the interior nodes and the operator diagonal on the
+    outermost layer, in those sqrt(W)-scaled variables.  The full-window
     ``_poisson_solver`` of ``minimize_constrained`` ignores that scaling and
-    takes more MINRES steps here (83 against 77 matvecs on the README
-    ``solve`` case).  ``minres_info`` keeps MINRES's exit flag per Newton
-    step (0 when it met its forcing tolerance).
+    takes more MINRES steps here.  ``minres_info`` keeps MINRES's exit flag
+    per Newton step (0 when it met its forcing tolerance).
     """
     grid = seed.grid
     Avals = prepare_potential(A, grid)
@@ -946,17 +993,14 @@ def critical_point_search(
     stalled = False
     it = 0
     for it in range(1, max_iters + 1):
-        op_apply = _residual_operator(u, Avals, Vvals, params.p, grid)
+        apply = _linearized_operator(u, Avals, Vvals, params.p, W)
 
         # Newton direction J d = r via preconditioned MINRES; for symmetric J
         # the slope of 1/2 ||r||^2 along -d is -<Jr, J^{-1}r> = -||r||^2, so
         # the (inexactly solved) Newton step is a genuine descent direction
-        def matvec(x):
-            return pack(op_apply(unpack(x)))
-
-        Aop = LinearOperator((2 * size, 2 * size), matvec=matvec, dtype=float)
-        grad = op_apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
-        forcing = min(0.1, max(np.sqrt(r_norm), 1e-6))
+        Aop = LinearOperator((2 * size, 2 * size), matvec=_stacked(apply, sqw), dtype=float)
+        grad = apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
+        forcing = min(1e-3, max(np.sqrt(r_norm), 1e-6))
         x, info = minres(Aop, pack(r_vals), rtol=forcing, maxiter=inner_iters, M=Mop)
         minres_info.append(int(info))
         d = unpack(x)

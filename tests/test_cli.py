@@ -145,8 +145,9 @@ def test_readme_configs_record_boundary_mass(tmp_path):
 
 
 def test_readme_solve_minres_matvecs(tmp_path, monkeypatch):
-    # README solve case: the interior-block preconditioner takes 77 MINRES
-    # matvecs over 12 Newton steps, the full-window DST took 83
+    # README solve case: with each Newton system solved to the forcing cap
+    # 1e-3 the search takes 56 MINRES matvecs over 4 Newton steps; the cap
+    # 0.1 took 77 over 12
     matvecs = []
     minres = solver.minres
 
@@ -166,8 +167,28 @@ def test_readme_solve_minres_matvecs(tmp_path, monkeypatch):
         "--R", "2", "--T", "3", "--out", str(out),
     ])
     assert code == 0
-    assert 0 < len(matvecs) <= 83
-    assert read_json(out / "solve.json")["minres_unconverged"] == 0
+    assert 0 < len(matvecs) <= 60
+    doc = read_json(out / "solve.json")
+    assert doc["iterations"] <= 5
+    assert doc["minres_unconverged"] == 0
+
+
+@pytest.mark.parametrize("spec", ["periodic:b=0.5,L=2", "landau:b=1"])
+def test_readme_family_solve_converges(tmp_path, spec):
+    # with the forcing cap 0.1 both ran all 60 Newton steps and exited 2
+    # (residual 1.8e-3 and 6.2e-2)
+    out = tmp_path / "s"
+    code = run([
+        "solve", "--field", spec, "--dim", "2", "--p", "4", "--lambda", "1",
+        "--R", "2", "--T", "3", "--out", str(out),
+    ])
+    assert code == 0
+    doc = read_json(out / "solve.json")
+    assert doc["converged"]
+    assert doc["residual_norm"]["value"] <= doc["residual_norm"]["tol"]
+    c_inf = doc["bracket"]["c_inf"]
+    assert c_inf < doc["level"] < 2.0 * c_inf
+    assert 0.0 <= doc["boundary_mass"]["value"] < doc["boundary_mass"]["tol"]
 
 
 def test_reproducibility_byte_identical(tmp_path):

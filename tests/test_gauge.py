@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from magnls.calculus import Grid, bump, energy_EA, prepare_potential
+from magnls.calculus import FunctionalParams, Grid, bump, energy_EA, prepare_potential
 from magnls.field import PotentialField, curl, curl_of_samples, field_library
 from magnls.gauge import (
     MassLossError,
@@ -319,6 +319,49 @@ def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
                 # E0 e^{i(theta + psi)} and e^{i(theta + psi - C_1)} round
                 # differently, by a few ulps of the unit rotation
                 assert np.max(np.abs(g.factor - full)) <= 1e-15, (k, theta)
+
+
+def test_make_shift_splits_the_phase_once(monkeypatch):
+    # beyond the window the phase is a staircase quadrature; make_shift runs
+    # it once, through rephase_field, for both the phase and the factor
+    from magnls import gauge
+
+    calls = {"quadrature": 0, "rephase": 0}
+    phase_values, rephase = gauge._phase_values, gauge.rephase_field
+
+    def counted_phase_values(*args):
+        calls["quadrature"] += 1
+        return phase_values(*args)
+
+    def counted_rephase(*args, **kwargs):
+        calls["rephase"] += 1
+        return rephase(*args, **kwargs)
+
+    monkeypatch.setattr(gauge, "_phase_values", counted_phase_values)
+    monkeypatch.setattr(gauge, "rephase_field", counted_rephase)
+    A = field_library("gaussian_decay", b0=0.5, s=1.0)
+    grid = Grid(2.0, 33, dim=2)
+    g = make_shift(A, np.array([40, 3]) * np.array(grid.h), grid, theta=0.7, max_loss=1.0)
+    assert calls == {"quadrature": 1, "rephase": 1}
+    assert g.factor.tobytes() == np.exp(1j * (0.7 + g.phase.samples.values)).tobytes()
+
+
+def test_surface_scan_tests_each_point_once(gs2, monkeypatch):
+    # the scan holds each point's steps; the phase split does not test again
+    from magnls.solver import _surface_scan
+
+    calls = []
+    is_lattice_vector = Grid.is_lattice_vector
+
+    def counted(self, y):
+        calls.append(1)
+        return is_lattice_vector(self, y)
+
+    grid = Grid(8.0, 65, dim=2)
+    y_points = np.array([[0.0, 0.0], [0.25, -0.5], [-1.0, 0.75]])
+    monkeypatch.setattr(Grid, "is_lattice_vector", counted)
+    _surface_scan(field_library("symmetric", b=0.5), gs2.on_grid(grid), FunctionalParams(p=4.0, lam=1.0), y_points, 3.0)
+    assert len(calls) == len(y_points)
 
 
 def test_shift_rejects_non_lattice():

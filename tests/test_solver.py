@@ -19,6 +19,8 @@ from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply
 from magnls.solver import (
     _block_preconditioner,
+    _linearized_operator,
+    _stacked,
     condition_report,
     critical_point_search,
     landscape_eval,
@@ -529,3 +531,60 @@ def test_block_preconditioner_exact_on_interior(grid):
     u[inner] = rng.standard_normal(u[inner].shape)
     back = P(K(u.ravel())).reshape(u.shape)
     assert np.max(np.abs(back[inner] - u[inner])) <= 1e-12 * np.max(np.abs(u))
+
+
+NEWTON_FIELDS = [
+    ("zero", {}),
+    ("landau", {"b": 0.5}),
+    ("symmetric", {"b": 0.5}),
+    ("gaussian_decay", {"b0": 0.5, "s": 1.0}),
+]
+
+
+def _packed_newton_operator(grid, A, V, u, p):
+    """The Newton matvec as pack(op(unpack(x))): ``_packed_operator`` minus the
+    packed derivative of |u|^{p-2} u, sqrt(W) (|u|^{p-2} z + (p-2)|u|^{p-4} u Re(conj(u) z))."""
+    lin = _packed_operator(grid, A, V)
+    sqw = np.sqrt(grid.weights())
+    size = sqw.size
+    s = np.abs(u)
+    sp2 = s ** (p - 2.0)
+    sp4u = np.zeros_like(u)
+    mask = s > 0
+    sp4u[mask] = (p - 2.0) * s[mask] ** (p - 3.0) * (u[mask] / s[mask])
+
+    def apply(x):
+        z = (x[:size] + 1j * x[size:]).reshape(grid.shape) / sqw
+        nl = sqw * (sp2 * z + sp4u * np.real(np.conj(u) * z))
+        return lin(x) - np.concatenate((nl.real.ravel(), nl.imag.ravel()))
+
+    return apply
+
+
+@pytest.mark.parametrize("grid", PRECOND_GRIDS, ids=["2d", "3d"])
+@pytest.mark.parametrize("tag, kwargs", NEWTON_FIELDS)
+def test_stacked_newton_operator_matches_packed_form(grid, tag, kwargs):
+    # the matvec MINRES calls, against the packed form it replaced, at a
+    # seed, a Newton iterate and a random field; and it is symmetric
+    A = field_library(tag, dim=grid.dim, **kwargs)
+    params = FunctionalParams(p=4.0, lam=1.0, dim=grid.dim)
+    V = np.full(grid.shape, params.lam)
+    W = grid.weights()
+    seed = ComplexField(grid, 1.5 * bump(grid, width=1.0, wave=0.3).values)
+    iterate = critical_point_search(A, params, seed, max_iters=1).u
+    rng = np.random.default_rng(3)
+    noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    size = 2 * W.size
+    for u in (seed.values, iterate.values, noise):
+        K = _stacked(_linearized_operator(u, prepare_potential(A, grid), V, params.p, W), np.sqrt(W))
+        ref = _packed_newton_operator(grid, A, V, u, params.p)
+        vecs = [rng.standard_normal(size) for _ in range(3)]
+        first = K(vecs[0])
+        for x in vecs:
+            want = ref(x)
+            assert np.max(np.abs(K(x) - want)) <= 1e-13 * np.max(np.abs(want))
+        # each call returns a fresh vector: the work array is not handed out
+        assert np.array_equal(first, K(vecs[0]))
+        for x, y in zip(vecs, vecs[1:]):
+            kxy, xky = float(np.dot(K(x), y)), float(np.dot(x, K(y)))
+            assert abs(kxy - xky) <= 1e-12 * abs(kxy)
