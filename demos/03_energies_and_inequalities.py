@@ -1,8 +1,9 @@
 # The discrete covariant calculus and its guaranteed inequalities.
 #
 # Closed-form Gaussian integrals pin the energies; the diamagnetic and
-# sandwich inequalities hold nodewise, and the weighted-adjoint Laplacian
-# reproduces the energy exactly (the variational backbone).
+# sandwich inequalities hold edgewise on the staggered edges the energy uses,
+# and the weighted-adjoint Laplacian reproduces the energy exactly (the
+# variational backbone).
 
 import numpy as np
 
@@ -37,15 +38,15 @@ params = FunctionalParams(p=4.0, lam=1.0, dim=2)
 print("  J(u)    = %.6f  (2 pi    = %.6f)" % (functional_J(u, zero, params), 2 * np.pi))
 print("  I(u)    = %.6f  (pi-pi/8 = %.6f)" % (functional_I(u, zero, params), np.pi - np.pi / 8))
 
-print("diamagnetic inequality |grad_A u| >= |grad |u||:")
+print("diamagnetic inequality |S_A u| >= |S_0 |u|| on every edge:")
 rep = diamagnetic_check(u, landau)
-print("  min pointwise margin:", rep["min_margin"], " violations:", rep["violations"])
+print("  min edge margin:", rep["min_margin"], " violations:", rep["violations"])
 print("  integrated gap E_A - E_0(|u|) = %.6f  (b^2 pi/2 = %.6f)" % (rep["integrated_gap"], np.pi / 2))
 
-print("sandwich bounds between |grad_A u|^2 and |grad u|^2:")
+print("edgewise sandwich bounds between |S_A u|^2 and |S_0 u|^2:")
 pb = pointwise_bounds_check(bump(grid, width=1.0, wave=(1.0, 0.0)), landau)
 print("  worst slacks:", pb["worst_slack_lower"], pb["worst_slack_upper"])
-print("  local energy-ratio interval: [%.3f, %.3f]" % (pb["ratio_min"], pb["ratio_max"]))
+print("  (E_A + |w|^2) / (E_0 + |w|^2) over test bumps: [%.3f, %.3f]" % (pb["ratio_min"], pb["ratio_max"]))
 
 print("variational exactness <S*S u, u> = E_A(u):")
 rng = np.random.default_rng(0)

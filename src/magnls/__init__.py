@@ -12,7 +12,6 @@ from .calculus import (
     Grid,
     RealField,
     bump,
-    covariant_gradient,
     default_grid,
     el_residual,
     energy_EA,

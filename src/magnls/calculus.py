@@ -1,21 +1,21 @@
 """Discrete covariant calculus on uniform Cartesian grids.
 
-Pointwise quantities (the covariant gradient used by the inequality
-verifiers) use centered second-order differences with zero ghost values:
-fields are treated as compactly supported.  The energy and all variational
-operators use the staggered covariant derivative
+Fields are treated as compactly supported (zero ghost values beyond the
+window).  The energy, every variational operator and the pointwise
+inequality verifiers use the staggered covariant derivative
 
     (S_m u)[midpoint] = a_m u_+ - b_m u_-,  a_m, b_m = 1/h_m +- i A_m(midpoint)/2,
 
 second-order accurate at cell midpoints; ``PreparedPotential`` builds these
-edge coefficients once.  The magnetic Laplacian is the quadrature-weighted
-adjoint composition sum_m S_m^* S_m, applied as the 2 dim + 1 point stencil
-derived from the same coefficients.  So the energy identity
-<S^* S u, u> = E_A(u) holds to rounding on the grid, the quadratic form is
-positive on compactly supported data, and the stencil stays compact (a naive
-composition of centered differences decouples the even and odd sublattices
-and admits spurious zero-energy checkerboard modes, which breaks constrained
-minimization).
+edge coefficients once.  Since b_m = conj(a_m), the diamagnetic and sandwich
+inequalities hold edge by edge as exact algebra.  The magnetic Laplacian is
+the quadrature-weighted adjoint composition sum_m S_m^* S_m, applied as the
+2 dim + 1 point stencil derived from the same coefficients.  So the energy
+identity <S^* S u, u> = E_A(u) holds to rounding on the grid, the quadratic
+form is positive on compactly supported data, and the stencil stays compact
+(a naive composition of centered differences decouples the even and odd
+sublattices and admits spurious zero-energy checkerboard modes, which breaks
+constrained minimization).
 """
 
 from dataclasses import dataclass
@@ -34,7 +34,6 @@ __all__ = [
     "BOUNDARY_MASS_TOL",
     "PreparedPotential",
     "prepare_potential",
-    "covariant_gradient",
     "staggered_gradient",
     "magnetic_laplacian",
     "energy_EA",
@@ -223,8 +222,11 @@ class FunctionalParams:
     dim: Optional[int] = None
 
     def __post_init__(self):
-        if self.V is not None and self.dim is None:
-            self.dim = self.V.grid.dim
+        if self.V is not None:
+            if self.dim is None:
+                self.dim = self.V.grid.dim
+            elif self.dim != self.V.grid.dim:
+                raise ValueError(f"dim {self.dim} disagrees with the {self.V.grid.dim}-D grid of V")
         if self.dim is not None:
             pmax = _critical_exponent(self.dim)
             if not (2.0 < self.p < pmax):
@@ -240,16 +242,6 @@ class FunctionalParams:
 # ---------------------------------------------------------------------------
 # Difference operators
 # ---------------------------------------------------------------------------
-
-def _centered_diff(values: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Centered difference with zero ghost values outside the window."""
-    out = np.zeros_like(values)
-    at = partial(_along, values.ndim, axis)
-    out[at(slice(1, -1))] = (values[at(slice(2, None))] - values[at(slice(0, -2))]) / (2 * h)
-    out[at(0)] = values[at(1)] / (2 * h)
-    out[at(-1)] = -values[at(-2)] / (2 * h)
-    return out
-
 
 def _midpoint_axes(grid: Grid, m: int) -> list:
     """Grid axes with axis m replaced by its n_m + 1 midpoints, half a step beyond each end."""
@@ -314,21 +306,6 @@ def prepare_potential(A, grid: Grid) -> "PreparedPotential":
         inner_avg = 0.5 * (comp[at(slice(0, -1))] + comp[at(slice(1, None))])
         edge_A.append(np.concatenate((comp[at(slice(0, 1))], inner_avg, comp[at(slice(-1, None))]), axis=m))
     return PreparedPotential(grid, arr, edge_A)
-
-
-def covariant_gradient(u: ComplexField, A) -> np.ndarray:
-    """Node-centered (grad + iA)u per component; shape (dim, *grid.shape).
-
-    Centered second-order differences with zero ghosts; this is the object
-    entering the pointwise inequality verifiers.
-    """
-    grid = u.grid
-    Avals = prepare_potential(A, grid).node
-    out = np.empty((grid.dim,) + grid.shape, dtype=complex)
-    vals = u.values.astype(complex, copy=False)
-    for m in range(grid.dim):
-        out[m] = _centered_diff(vals, m, grid.h[m]) + 1j * Avals[m] * vals
-    return out
 
 
 def staggered_gradient(u: ComplexField, A) -> list:
@@ -445,67 +422,68 @@ def lp_norm(u: ComplexField, p: float) -> float:
 # Pointwise inequality verifiers
 # ---------------------------------------------------------------------------
 
-def _interior(grid: Grid):
-    return tuple(slice(1, -1) for _ in range(grid.dim))
+def _edge_means(vals: np.ndarray) -> list:
+    """Per axis m, the mean (v_+ + v_-)/2 on the n_m + 1 axis-m edges (zero ghosts)."""
+    out = []
+    for m in range(vals.ndim):
+        padded = np.pad(vals, [(1, 1) if ax == m else (0, 0) for ax in range(vals.ndim)])
+        at = partial(_along, vals.ndim, m)
+        out.append(0.5 * (padded[at(slice(1, None))] + padded[at(slice(0, -1))]))
+    return out
 
 
 def diamagnetic_check(u: ComplexField, A) -> dict:
-    """|grad_A u| >= |grad |u|| at interior nodes, up to discretization slack.
+    """|S_A u| >= |S_0 |u|| on every staggered edge, and the integrated gap.
 
-    Reports the minimum pointwise margin and the integrated gap
-    E_A(u) - E_0(|u|), which must be nonnegative.
+    On an edge b = conj(a) and |a| >= 1/h, so
+    |a u_+ - b u_-| >= |a| ||u_+| - |u_-|| >= |S_0 |u||: a margin below
+    rounding is a bug.  Reports the minimum edge margin, the number of edges
+    below -1e-12 and the integrated gap E_A(u) - E_0(|u|), which must be
+    nonnegative.
     """
     grid = u.grid
-    G = covariant_gradient(u, A)
-    mod = ComplexField(grid, np.abs(u.values).astype(complex))
-    Gmod = covariant_gradient(mod, np.zeros((grid.dim,) + grid.shape))
-    lhs = np.sqrt(np.sum(np.abs(G) ** 2, axis=0))
-    rhs = np.sqrt(np.sum(np.abs(Gmod) ** 2, axis=0))
-    margin = (lhs - rhs)[_interior(grid)]
-    gap = energy_EA(u, A) - energy_EA(mod, np.zeros((grid.dim,) + grid.shape))
+    G = staggered_gradient(u, A)
+    zero = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid)
+    Gmod = _edge_values(np.abs(u.values), zero)
+    margin = np.concatenate([(np.abs(g) - np.abs(g0)).ravel() for g, g0 in zip(G, Gmod)])
     return {
-        "min_margin": float(np.min(margin)) if margin.size else 0.0,
-        "integrated_gap": gap,
-        "violations": int(np.sum(margin < -1e-12 - 0.0)),
+        "min_margin": float(np.min(margin)),
+        "integrated_gap": _edge_energy(G, grid) - _edge_energy(Gmod, grid),
+        "violations": int(np.sum(margin < -1e-12)),
     }
 
 
-def pointwise_bounds_check(u: ComplexField, A, lam: float = 1.0, n_bumps: int = 8) -> dict:
-    """Nodewise sandwich bounds between |grad_A u|^2 and |grad u|^2.
+def pointwise_bounds_check(u: ComplexField, A) -> dict:
+    """Edgewise sandwich bounds between |S_A u|^2 and |S_0 u|^2.
 
-    Checks |grad_A u|^2 >= |grad u|^2 / 2 - 7 |A|^2 |u|^2 and
-    |grad u|^2 <= 2 |grad_A u|^2 + 14 |A|^2 |u|^2 (pointwise real algebra, so
-    violations beyond rounding indicate a bug), and reports the local
-    energy-ratio interval over a batch of random test bumps drawn from
-    ``np.random.default_rng(0)``.
+    On an edge S_A u - S_0 u = i A(mid) (u_+ + u_-)/2, so with
+    m = (|u_+| + |u_-|)/2 both |S_A u|^2 >= |S_0 u|^2 / 2 - |A(mid)|^2 m^2
+    and |S_0 u|^2 <= 2 |S_A u|^2 + 2 |A(mid)|^2 m^2 are exact algebra: a
+    slack below rounding is a bug.  Also reports the interval of
+    (E_A(w) + |w|_2^2) / (E_0(w) + |w|_2^2), the squared H^1_A / H^1 norm
+    ratio, over 8 test bumps w drawn from ``np.random.default_rng(0)``.
     """
     grid = u.grid
-    Avals = prepare_potential(A, grid).node
-    A2 = np.sum(Avals**2, axis=0)
-
-    zero = np.zeros((grid.dim,) + grid.shape)
-
-    def squares(w: ComplexField):
-        """|grad_A w|^2, |grad w|^2 and |w|^2 at the nodes."""
-        gA2 = np.sum(np.abs(covariant_gradient(w, Avals)) ** 2, axis=0)
-        g02 = np.sum(np.abs(covariant_gradient(w, zero)) ** 2, axis=0)
-        return gA2, g02, np.abs(w.values) ** 2
-
-    gA2, g02, u2 = squares(u)
-    s1 = float(np.min(gA2 - 0.5 * g02 + 7.0 * A2 * u2))  # >= 0
-    s2 = float(np.min(2.0 * gA2 + 14.0 * A2 * u2 - g02))  # >= 0
+    prep = prepare_potential(A, grid)
+    zero = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid)
+    s1 = s2 = np.inf
+    edges = zip(prep.a, _edge_values(u.values, prep), _edge_values(u.values, zero), _edge_means(np.abs(u.values)))
+    for a, gA, g0, mean in edges:
+        Am2 = (2.0 * a.imag * mean) ** 2  # |A(mid)|^2 m^2, as Im a = A(mid)/2
+        gA2, g02 = np.abs(gA) ** 2, np.abs(g0) ** 2
+        s1 = min(s1, float(np.min(gA2 - 0.5 * g02 + Am2)))  # >= 0
+        s2 = min(s2, float(np.min(2.0 * gA2 + 2.0 * Am2 - g02)))  # >= 0
 
     rng = np.random.default_rng(0)
     ratios = []
     W = grid.weights()
-    for _ in range(n_bumps):
+    for _ in range(8):
         center = rng.uniform(-0.4, 0.4, size=grid.dim) * np.array(grid.extents)
         width = rng.uniform(0.6, 1.6)
         wave = rng.uniform(-1.5, 1.5, size=grid.dim)
-        gA2, g02, u2 = squares(bump(grid, center=center, width=width, wave=wave))
-        num = float(np.sum(W * (gA2 + lam * u2)))
-        den = float(np.sum(W * (g02 + u2)))
-        ratios.append(num / den)
+        w = bump(grid, center=center, width=width, wave=wave)
+        mass = float(np.sum(W * np.abs(w.values) ** 2))
+        ratios.append((energy_EA(w, prep) + mass) / (energy_EA(w, zero) + mass))
     return {
         "worst_slack_lower": s1,
         "worst_slack_upper": s2,

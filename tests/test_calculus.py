@@ -7,7 +7,6 @@ from magnls.calculus import (
     Grid,
     RealField,
     bump,
-    covariant_gradient,
     default_grid,
     diamagnetic_check,
     el_residual,
@@ -20,6 +19,7 @@ from magnls.calculus import (
     magnetic_laplacian,
     pointwise_bounds_check,
     prepare_potential,
+    staggered_gradient,
 )
 from magnls.field import field_library
 
@@ -91,32 +91,46 @@ def test_functional_params_validation():
         FunctionalParams(p=6.5, lam=1.0, dim=3)  # 2* = 6 for N = 3
     with pytest.raises(ValueError, match="lam"):
         FunctionalParams(p=4.0, lam=0.0, dim=2)
+    V3 = RealField(Grid(2.0, 5, dim=3), np.ones((5, 5, 5)))
+    with pytest.raises(ValueError, match="p must"):
+        FunctionalParams(p=7.0, lam=1.0, V=V3)
+    with pytest.raises(ValueError, match="disagrees"):
+        FunctionalParams(p=7.0, lam=1.0, V=V3, dim=2)  # p = 7 is above the 3-D critical 6
 
 
 # ---------------------------------------------------------------------------
-# Covariant gradient
+# Staggered covariant gradient
 # ---------------------------------------------------------------------------
+
+def midpoints(g, m):
+    """Coordinates of the interior axis-m edge midpoints, shape (..., dim)."""
+    axes = list(g.axes)
+    axes[m] = 0.5 * (axes[m][:-1] + axes[m][1:])
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+
+
+def interior_edges(m, dim=2):
+    return tuple(slice(1, -1) if ax == m else slice(None) for ax in range(dim))
+
 
 def test_gradient_zero_field_plain():
     g = Grid(4.0, 65, dim=2)
-    u = bump(g, width=1.0)
-    G = covariant_gradient(u, A0)
-    assert np.all(G.imag[:, 16:-16, 16:-16] == 0.0)
+    G = staggered_gradient(bump(g, width=1.0), A0)
+    assert all(np.all(Gm.imag == 0.0) for Gm in G)
 
 
 def test_gradient_constant_one_gives_iA():
     g = Grid(4.0, 65, dim=2)
     A = field_library("landau", b=0.7)
     u = ComplexField(g, np.ones(g.shape, dtype=complex))
-    G = covariant_gradient(u, A)
-    Avals = np.moveaxis(A(g.nodes()), -1, 0)
-    interior = (slice(1, -1), slice(1, -1))
+    G = staggered_gradient(u, A)
     for m in range(2):
-        assert np.max(np.abs(G[m][interior] - 1j * Avals[m][interior])) <= 1e-14
+        Amid = A(midpoints(g, m))[..., m]
+        assert np.max(np.abs(G[m][interior_edges(m)] - 1j * Amid)) <= 1e-14
 
 
 def test_gradient_plane_wave():
-    # u = exp(i k.x), A constant a: covariant gradient is i(k + a) u + O(h^2)
+    # u = exp(i k.x), A constant a: the edge value is i(k + a) exp(i k.x_mid) + O(h^2)
     g = Grid(4.0, 129, dim=2)
     k = np.array([0.8, -0.5])
     a = np.array([0.3, 0.2])
@@ -127,14 +141,12 @@ def test_gradient_plane_wave():
     from magnls.field import PotentialField
 
     A = PotentialField(2, ev, tag="custom")
-    pts = g.nodes()
-    u = ComplexField(g, np.exp(1j * (pts @ k)))
-    G = covariant_gradient(u, A)
-    interior = (slice(2, -2), slice(2, -2))
+    u = ComplexField(g, np.exp(1j * (g.nodes() @ k)))
+    G = staggered_gradient(u, A)
     err = 0.0
     for m in range(2):
-        expected = 1j * (k[m] + a[m]) * u.values
-        err = max(err, np.max(np.abs((G[m] - expected)[interior])))
+        expected = 1j * (k[m] + a[m]) * np.exp(1j * (midpoints(g, m) @ k))
+        err = max(err, np.max(np.abs(G[m][interior_edges(m)] - expected)))
     assert err <= 2.0 * g.h[0] ** 2
 
 
@@ -352,7 +364,7 @@ def test_pointwise_bounds_complex_phase():
 def test_local_sandwich_ratio_bounded():
     g = Grid(6.0, 65, dim=2)
     u = bump(g, width=1.0)
-    rep = pointwise_bounds_check(u, field_library("gaussian_decay", b0=0.7, s=1.0), lam=2.0, n_bumps=6)
+    rep = pointwise_bounds_check(u, field_library("gaussian_decay", b0=0.7, s=1.0))
     assert 0.05 < rep["ratio_min"] and rep["ratio_max"] < 20.0
 
 

@@ -1,5 +1,5 @@
-"""Randomized checks of exact discrete identities, of the shift mass check and
-of the landscape scan against its brute-force path.
+"""Randomized checks of exact discrete identities and inequalities, of the
+shift mass check and of the landscape scan against its brute-force path.
 
 The inputs are odd-sized grids in 2-D and 3-D, library fields with random
 parameters, and random complex u drawn from a seeded generator.  The runs
@@ -19,12 +19,14 @@ from magnls.calculus import (
     Grid,
     RealField,
     bump,
+    diamagnetic_check,
     energy_EA,
     eta_map,
     functional_J,
     inner,
     lp_norm,
     magnetic_laplacian,
+    pointwise_bounds_check,
 )
 from magnls.field import field_library
 from magnls.gauge import MassLossError, make_shift, shift_apply, shift_invert
@@ -65,6 +67,17 @@ def test_laplacian_form_equals_energy(case):
     energy = energy_EA(u, A)
     form = inner(grid, magnetic_laplacian(u, A), u.values)
     assert abs(form - energy) <= 1e-12 * energy
+
+
+@PROPERTY_SETTINGS
+@given(cases())
+def test_edge_inequalities_hold_to_rounding(case):
+    # Kato and both sandwich bounds are exact algebra on each staggered edge
+    grid, A, u = case
+    bounds = pointwise_bounds_check(u, A)
+    assert diamagnetic_check(u, A)["min_margin"] >= -1e-12
+    assert bounds["worst_slack_lower"] >= -1e-12
+    assert bounds["worst_slack_upper"] >= -1e-12
 
 
 @PROPERTY_SETTINGS
