@@ -119,16 +119,11 @@ def _line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndar
 
 @dataclass
 class GaugePhase:
-    """Sampled re-phasing scalar phi_y with its base point and normalization.
-
-    ``split`` is the ``(C, psi)`` of ``_split_phase`` that the samples were
-    built from; ``make_shift`` builds its factor from it.
-    """
+    """Sampled re-phasing scalar phi_y with its base point and normalization."""
 
     base_point: np.ndarray
     normalization: str
     samples: RealField
-    split: tuple = _dfield(default=(None, None), repr=False)
 
 
 def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
@@ -212,6 +207,17 @@ def _window_index(grid: Grid, steps):
     return index if all(0 <= j < n for j, n in zip(index, grid.n)) else None
 
 
+def _base_point(y, grid: Grid, normalization: str) -> np.ndarray:
+    """y as a float vector of ``grid.dim`` entries; ``ValueError`` for another
+    shape or a normalization other than ``at_base`` and ``at_half``."""
+    if normalization not in ("at_base", "at_half"):
+        raise ValueError(f"unknown normalization '{normalization}'")
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    if y.shape != (grid.dim,):
+        raise ValueError(f"base point shape {y.shape}, expected ({grid.dim},)")
+    return y
+
+
 def rephase_field(
     A: PotentialField,
     y,
@@ -232,14 +238,10 @@ def rephase_field(
     on some other line raises ``QuadratureError`` here too.  Any other y
     integrates its own staircase.
     """
-    if normalization not in ("at_base", "at_half"):
-        raise ValueError(f"unknown normalization '{normalization}'")
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.shape != (grid.dim,):
-        raise ValueError(f"base point shape {y.shape}, expected ({grid.dim},)")
+    y = _base_point(y, grid, normalization)
     C, psi = _split_phase(A, y, grid.is_lattice_vector(y), grid, normalization)
     vals = psi if C is None else psi - C
-    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals), split=(C, psi))
+    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +364,6 @@ class ShiftOp:
     grid: Grid
     y: np.ndarray
     steps: tuple
-    phase: GaugePhase
     factor: np.ndarray = _dfield(repr=False)
     theta: float = 0.0
     max_loss: float = 1e-6
@@ -376,28 +377,26 @@ def make_shift(
     normalization: str = "at_base",
     max_loss: float = 1e-6,
 ) -> ShiftOp:
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    """The magnetic shift g_y u = e^{i(theta + phi_y)} u(. - y) on the grid.
+
+    phi_y is the phase of ``rephase_field(A, y, grid, normalization)``, but
+    only the factor is built, as E0 e^{i(theta + psi_y)} from the split of
+    ``_split_phase``: per tabled y only the (dim-1)-dimensional exponential
+    is taken.  Every built-in field but ``symmetric`` has A_1 = 0, so E0 is
+    exactly 1 and the factor is e^{i(theta + phi_y)} to the bit.  A y that
+    is no lattice vector raises ``ValueError``.  ``shift_apply`` and
+    ``shift_invert`` raise ``MassLossError`` when a move would drop more
+    than ``max_loss`` of the quadrature mass W|u|^2 off the window.
+    """
+    y = _base_point(y, grid, normalization)
     steps = grid.is_lattice_vector(y)
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
-    # the factor comes from the phase's own split, so the phase (and, beyond
-    # the window, its staircase quadrature) is computed once
-    phase = rephase_field(A, y, grid, normalization=normalization)
-    factor = _shift_factor(A, grid, phase.split, theta)
-    return ShiftOp(grid=grid, y=y, steps=steps, phase=phase, factor=factor, theta=theta, max_loss=max_loss)
-
-
-def _shift_factor(A: PotentialField, grid: Grid, split: tuple, theta: float) -> np.ndarray:
-    """e^{i(theta + phi_y)} on the grid from the ``(C, psi)`` split of phi_y.
-
-    Taken as E0 e^{i(theta + psi_y)} (``_split_phase``), so per tabled y only
-    the (dim-1)-dimensional exponential is taken.  Every built-in field but
-    ``symmetric`` has A_1 = 0, so E0 is exactly 1 and the product is
-    e^{i(theta + phi_y)} to the bit.
-    """
-    C, psi = split
+    C, psi = _split_phase(A, y, steps, grid, normalization)
     factor = np.exp(1j * (theta + psi))
-    return factor if C is None else _first_axis_factor(A, grid) * factor
+    if C is not None:
+        factor = _first_axis_factor(A, grid) * factor
+    return ShiftOp(grid=grid, y=y, steps=steps, factor=factor, theta=theta, max_loss=max_loss)
 
 
 def _overlap(shape, steps):
@@ -433,34 +432,34 @@ def _check_loss(dens: np.ndarray, steps, max_loss: float, name: str) -> None:
         raise MassLossError(f"{name} would drop a boundary-mass fraction {frac:.3e} > allowed {max_loss:.3e}")
 
 
-def _check_move(g: ShiftOp, u: ComplexField, steps, name: str) -> None:
-    """Raise unless u lives on g's grid and a move by ``steps`` keeps all but ``g.max_loss`` of |u|^2."""
-    if u.grid.shape != g.grid.shape:
-        raise ValueError("field and shift live on different grids")
-    _check_loss(u.grid.weights() * np.abs(u.values) ** 2, steps, g.max_loss, name)
+def _moved(g: ShiftOp, values: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """g applied to raw node values, after ``_check_loss`` on their quadrature mass ``dens`` = W|values|^2."""
+    _check_loss(dens, g.steps, g.max_loss, "shift")
+    # named, so numpy does not multiply into the temporary in place: that
+    # loop rounds the complex product differently
+    shifted = _shift_values(values, g.steps)
+    return g.factor * shifted
 
 
 def shift_apply(g: ShiftOp, u: ComplexField) -> ComplexField:
     """g u = e^{i(theta + phi_y)} u(. - y) on the grid; errors on excessive mass loss."""
-    _check_move(g, u, g.steps, "shift")
-    # named, so numpy does not multiply into the temporary in place: that
-    # loop rounds the complex product differently
-    shifted = _shift_values(u.values, g.steps)
-    return ComplexField(u.grid, g.factor * shifted)
+    if u.grid.shape != g.grid.shape:
+        raise ValueError("field and shift live on different grids")
+    return ComplexField(u.grid, _moved(g, u.values, u.grid.weights() * np.abs(u.values) ** 2))
 
 
 def shift_invert(g: ShiftOp, v: ComplexField) -> ComplexField:
     """g^{-1} v = e^{-i(theta + phi_y(. + y))} v(. + y); exact inverse on the overlap."""
+    if v.grid.shape != g.grid.shape:
+        raise ValueError("field and shift live on different grids")
     neg = tuple(-k for k in g.steps)
-    _check_move(g, v, neg, "inverse shift")
+    _check_loss(v.grid.weights() * np.abs(v.values) ** 2, neg, g.max_loss, "inverse shift")
     return ComplexField(v.grid, _shift_values(v.values * np.conj(g.factor), neg))
 
 
 def shifted_corrected_samples(A: PotentialField, y, grid: Grid) -> np.ndarray:
     """Samples of A_y(. + y) on the grid: the potential seen from the moving frame."""
-    y = np.atleast_1d(np.asarray(y, dtype=float))
-    axes = [ax + yi for ax, yi in zip(grid.axes, y)]
-    return corrected_potential_samples(A, y, axes)
+    return ShiftedCorrectedField(A, y).on_axes(grid.axes)
 
 
 class ShiftedCorrectedField:

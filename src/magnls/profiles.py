@@ -263,17 +263,15 @@ class ExtractOpts:
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
-def _tail_average(fields: list, grid: Grid, wmask=None) -> ComplexField:
+def _tail_average(fields: list, grid: Grid, wmask: np.ndarray) -> ComplexField:
     acc = np.zeros(grid.shape, dtype=complex)
     for f in fields:
         acc += f.values
     acc /= len(fields)
-    if wmask is not None:
-        acc = np.where(wmask, acc, 0.0)
-    return ComplexField(grid, acc)
+    return ComplexField(grid, np.where(wmask, acc, 0.0))
 
 
-def _half_tail_agreement(fields: list, grid: Grid, wmask=None):
+def _half_tail_agreement(fields: list, grid: Grid, wmask: np.ndarray):
     """Relative distance of the two half-tail averages, measured inside the
     profile window: the computable surrogate of local weak convergence.
     Returns it with the full-tail average."""

@@ -35,15 +35,7 @@ from .calculus import (
     _v_samples,
 )
 from .field import PotentialField, b_sup_norm, curl
-from .gauge import (
-    _check_loss,
-    _shift_factor,
-    _shift_values,
-    _split_phase,
-    make_shift,
-    potential_at_infinity,
-    shift_apply,
-)
+from .gauge import _moved, make_shift, potential_at_infinity, shift_apply
 
 __all__ = [
     "GroundState",
@@ -603,10 +595,10 @@ def _surface_scan(A: PotentialField, w: ComplexField, params: FunctionalParams, 
 
     Per point this is ``functional_J``, ``lp_norm``, ``eta_map`` and
     ``boundary_mass_fraction`` of ``shift_apply(make_shift(A, y, grid,
-    max_loss=0.5), w)``, summed in their order: the shifted array is built
-    once, the energy comes from the prepared edge coefficients, and every
-    modulus quantity from one |g_y w|.  The mass check reads W|w|^2, the
-    eta kernels and W V are built once.  Returns (t_max, values, etas,
+    max_loss=0.5), w)``, summed in their order: the shifted array comes from
+    ``gauge._moved``, the energy from the prepared edge coefficients, and
+    every modulus quantity from one |g_y w|.  W|w|^2 for the mass check,
+    the eta kernels and W V are built once.  Returns (t_max, values, etas,
     largest boundary fraction).
     """
     grid = w.grid
@@ -621,12 +613,7 @@ def _surface_scan(A: PotentialField, w: ComplexField, params: FunctionalParams, 
     etas = np.empty((len(y_points), grid.dim + 1))
     bmass = 0.0
     for i, y in enumerate(y_points):
-        steps = grid.is_lattice_vector(y)
-        factor = _shift_factor(A, grid, _split_phase(A, y, steps, grid, "at_base"), 0.0)
-        _check_loss(mass, steps, 0.5, "shift")
-        # named, as in shift_apply, so the product rounds as it does there
-        shifted = _shift_values(w.values, steps)
-        gu = factor * shifted
+        gu = _moved(make_shift(A, y, grid, max_loss=0.5), w.values, mass)
         mod = np.abs(gu)
         mod2 = mod**2
         densp = W * mod**p
@@ -666,7 +653,7 @@ def landscape_eval(
 
     Each point also records eta(g_y w) and the boundary fraction of
     |g_y w|^2; the result keeps the largest fraction.  The scan works on raw
-    arrays (``_surface_scan``) with the factor of ``make_shift(A, y, grid,
+    arrays (``_surface_scan``) with the shift ``make_shift(A, y, grid,
     max_loss=0.5)``, whose phase is integrated to ``gauge.QUAD_TOL``, and
     raises its ``MassLossError`` when a shift drops more than half of the
     mass of w.  The seed point is the lattice point closest to the origin
@@ -785,6 +772,10 @@ def two_bump_diagnostic(
 # ---------------------------------------------------------------------------
 # Critical point search
 # ---------------------------------------------------------------------------
+
+# a search result whose largest |u| falls below this is the trivial solution
+TRIVIAL_AMPLITUDE = 1e-10
+
 
 @dataclass
 class SearchResult:
@@ -980,7 +971,7 @@ def critical_point_search(
     r_vals, r_norm = residual(u)
     trace = [(level_of(u), r_norm)]
     if r_norm < tol:
-        trivial = bool(np.max(np.abs(u)) < 1e-14)
+        trivial = bool(np.max(np.abs(u)) < TRIVIAL_AMPLITUDE)
         return SearchResult(
             u=ComplexField(grid, u), level=trace[0][0], residual_norm=r_norm,
             trace=trace, iterations=0, converged=True, stalled=False, trivial=trivial,
@@ -1034,7 +1025,7 @@ def critical_point_search(
             break
 
     level = trace[-1][0]
-    trivial = bool(np.max(np.abs(u)) < 1e-10)
+    trivial = bool(np.max(np.abs(u)) < TRIVIAL_AMPLITUDE)
     bracket = None
     if gs is not None:
         bracket = {

@@ -142,10 +142,14 @@ def test_tables_built_once_per_field_and_grid():
     # a distinct field on the same grid gets its own tables
     B = field_library("landau", b=0.5)
     gB = make_shift(B, (-0.75, 2.0), g)
-    assert np.array_equal(gB.phase.samples.values, rephase_field(B, (-0.75, 2.0), g).samples.values)
     assert {("phase_tables", id(A)), ("phase_tables", id(B))} <= set(g._cache)
-    assert np.max(np.abs(gB.phase.samples.values - _phase_values(B, gB.y, g.axes))) <= EXACT_TOL
-    assert np.max(np.abs(g2.phase.samples.values - _phase_values(A, g2.y, g.axes))) <= 1e-9
+    phase_B = rephase_field(B, gB.y, g).samples.values
+    phase_A = rephase_field(A, g2.y, g).samples.values
+    assert len(calls) == built
+    # landau has A_1 = 0: the factor is e^{i phi_y} to the bit
+    assert gB.factor.tobytes() == np.exp(1j * phase_B).tobytes()
+    assert np.max(np.abs(phase_B - _phase_values(B, gB.y, g.axes))) <= EXACT_TOL
+    assert np.max(np.abs(phase_A - _phase_values(A, g2.y, g.axes))) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,7 @@ def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
     for k in [(3, -5, 1), (-16, 16, 6), (0, 0, 0), (40, 3, -2)]:
         for theta in (0.0, 0.7):
             g = make_shift(A, np.array(k[:dim]) * np.array(grid.h), grid, theta=theta, max_loss=1.0)
-            full = np.exp(1j * (theta + g.phase.samples.values))
+            full = np.exp(1j * (theta + rephase_field(A, g.y, grid).samples.values))
             if name in ("landau", "gaussian"):
                 assert g.factor.tobytes() == full.tobytes(), (k, theta)
             else:
@@ -323,7 +327,7 @@ def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
 
 def test_make_shift_splits_the_phase_once(monkeypatch):
     # beyond the window the phase is a staircase quadrature; make_shift runs
-    # it once, through rephase_field, for both the phase and the factor
+    # it once for the factor and builds no phase samples through rephase_field
     from magnls import gauge
 
     calls = {"quadrature": 0, "rephase": 0}
@@ -342,8 +346,8 @@ def test_make_shift_splits_the_phase_once(monkeypatch):
     A = field_library("gaussian_decay", b0=0.5, s=1.0)
     grid = Grid(2.0, 33, dim=2)
     g = make_shift(A, np.array([40, 3]) * np.array(grid.h), grid, theta=0.7, max_loss=1.0)
-    assert calls == {"quadrature": 1, "rephase": 1}
-    assert g.factor.tobytes() == np.exp(1j * (0.7 + g.phase.samples.values)).tobytes()
+    assert calls == {"quadrature": 1, "rephase": 0}
+    assert g.factor.tobytes() == np.exp(1j * (0.7 + rephase(A, g.y, grid).samples.values)).tobytes()
 
 
 def test_surface_scan_tests_each_point_once(gs2, monkeypatch):
@@ -362,6 +366,25 @@ def test_surface_scan_tests_each_point_once(gs2, monkeypatch):
     monkeypatch.setattr(Grid, "is_lattice_vector", counted)
     _surface_scan(field_library("symmetric", b=0.5), gs2.on_grid(grid), FunctionalParams(p=4.0, lam=1.0), y_points, 3.0)
     assert len(calls) == len(y_points)
+
+
+def test_surface_scan_makes_one_shift_per_point(gs2, monkeypatch):
+    # the scan moves w with the same ShiftOp that shift_apply takes
+    from magnls import solver
+
+    made = []
+    make_shift = solver.make_shift
+
+    def counted(*args, **kwargs):
+        made.append(make_shift(*args, **kwargs))
+        return made[-1]
+
+    grid = Grid(8.0, 65, dim=2)
+    y_points = np.array([[0.0, 0.0], [0.25, -0.5], [-1.0, 0.75]])
+    monkeypatch.setattr(solver, "make_shift", counted)
+    solver._surface_scan(field_library("landau", b=0.5), gs2.on_grid(grid), FunctionalParams(p=4.0, lam=1.0), y_points, 3.0)
+    assert [g.y.tolist() for g in made] == y_points.tolist()
+    assert all(g.max_loss == 0.5 and g.theta == 0.0 for g in made)
 
 
 def test_shift_rejects_non_lattice():

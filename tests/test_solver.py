@@ -431,6 +431,16 @@ def test_search_zero_seed_trivial():
     assert res.iterations == 0
 
 
+def test_search_tiny_seed_is_trivial_at_once():
+    # a seed whose residual is already below tol returns before the loop,
+    # with the same triviality threshold as a search that iterated
+    grid = Grid(8.0, 65, dim=2)
+    seed = bump(grid, width=1.0, amplitude=1e-12)
+    res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-6)
+    assert res.iterations == 0 and res.converged
+    assert res.trivial
+
+
 def test_search_landau_bracket(gs2):
     grid = Grid(8.0, 129, dim=2)
     A = field_library("landau", b=0.5)
