@@ -252,15 +252,14 @@ def _midpoint_axes(grid: Grid, m: int) -> list:
 
 
 class PreparedPotential:
-    """Node samples of a potential and the edge coefficients of S on one grid.
+    """The edge coefficients of S for one potential on one grid.
 
     Prepare once and reuse inside iteration loops; all calculus operators
     accept a PotentialField, raw node samples (dim, *shape), or this.
     """
 
-    def __init__(self, grid: Grid, node: np.ndarray, edge_A: list):
+    def __init__(self, grid: Grid, edge_A: list):
         self.grid = grid
-        self.node = node  # (dim, *shape)
         # S_m u = a_m u_+ - b_m u_- on the n_m + 1 axis-m edges (the outer two
         # reach the zero ghosts); edge_A[m] is component m at their midpoints
         self.a = [1.0 / h + 0.5j * Am for h, Am in zip(grid.h, edge_A)]
@@ -287,16 +286,15 @@ class PreparedPotential:
 
 
 def prepare_potential(A, grid: Grid) -> "PreparedPotential":
-    """Sample A once for ``grid``: evaluators through ``on_axes``, raw node arrays by averaging."""
+    """Sample A once for ``grid`` at the edge midpoints: evaluators through
+    ``on_axes`` (one midpoint mesh per axis), raw node arrays by averaging."""
     if isinstance(A, PreparedPotential):
         if A.grid.shape != grid.shape:
             raise ValueError("prepared potential belongs to a different grid")
         return A
     on_axes = getattr(A, "on_axes", None)
     if on_axes is not None:
-        node = on_axes(grid.axes)
-        edge_A = [on_axes(_midpoint_axes(grid, m))[m] for m in range(grid.dim)]
-        return PreparedPotential(grid, node, edge_A)
+        return PreparedPotential(grid, [on_axes(_midpoint_axes(grid, m))[m] for m in range(grid.dim)])
     arr = np.asarray(A, dtype=float)
     if arr.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"potential samples shape {arr.shape}, expected {(grid.dim,) + grid.shape}")
@@ -305,7 +303,7 @@ def prepare_potential(A, grid: Grid) -> "PreparedPotential":
         at = partial(_along, grid.dim, m)
         inner_avg = 0.5 * (comp[at(slice(0, -1))] + comp[at(slice(1, None))])
         edge_A.append(np.concatenate((comp[at(slice(0, 1))], inner_avg, comp[at(slice(-1, None))]), axis=m))
-    return PreparedPotential(grid, arr, edge_A)
+    return PreparedPotential(grid, edge_A)
 
 
 def staggered_gradient(u: ComplexField, A) -> list:

@@ -2,8 +2,9 @@
 
 Every run writes a manifest echoing the resolved configuration next to its
 CSV/JSON outputs, and identical configurations produce byte-identical files.
-Exit codes: 0 success, 1 validation error, 2 numerical failure (with a
-diagnostic report still written).
+Exit codes: 0 success, 1 validation error or an operating-system error on
+an input or output path (one ``error:`` line on stderr), 2 numerical failure
+(with a diagnostic report still written).
 """
 
 import argparse
@@ -326,18 +327,28 @@ def _read_profiles_spec(text: str):
     gspec = _spec_section(doc.get("grid", {}), "grid", ("L", "n", "dim"))
     if "dim" not in gspec and not isinstance(gspec.get("L", [1, 1]), list):
         raise ValueError("spec grid: a scalar L needs dim")
-    dim = _whole(gspec.get("dim", len(gspec.get("L", [1, 1]))))
+    dim = _whole(gspec["dim"]) if "dim" in gspec else len(gspec.get("L", [1, 1]))
     grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
+
+    def point(q, key):
+        entries = tuple(float(c) for c in q[key])
+        if len(entries) != dim:
+            raise ValueError(f"spec profile {key} has {len(entries)} entries, expected {dim}")
+        return entries
+
     shapes = []
     for q in doc.get("profiles", []):
         q = _spec_section(q, "profile", ("amplitude", "phase", "width", "wave", "center", "trajectory"))
+        width = float(q.get("width", 1.0))
+        if not (np.isfinite(width) and width > 0):
+            raise ValueError(f"spec profile width must be finite and > 0, got {width}")
         shapes.append(
             ProfileSpec(
                 amplitude=complex(q.get("amplitude", 1.0)) * np.exp(1j * float(q.get("phase", 0.0))),
-                width=float(q.get("width", 1.0)),
-                wave=tuple(q["wave"]) if "wave" in q else None,
-                center=tuple(q.get("center", ())),
-                direction=tuple(q.get("trajectory", ())),
+                width=width,
+                wave=point(q, "wave") if "wave" in q else None,
+                center=point(q, "center") if "center" in q else (),
+                direction=point(q, "trajectory") if "trajectory" in q else (),
             )
         )
     noise = _spec_section(doc.get("noise", {}), "noise", ("amplitude", "decay", "seed"))
@@ -418,7 +429,7 @@ def run(argv) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _RUNNERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (QuadratureError, MassLossError, DivergenceError, RuntimeError) as exc:

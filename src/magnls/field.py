@@ -116,27 +116,12 @@ def _sample_derivative(vals: np.ndarray, axis: int, h: float) -> np.ndarray:
     return d
 
 
-def _fd_jacobian(A: PotentialField, pts: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Second-order jacobian of A on a tensor grid of points.
-
-    pts has shape (*grid_shape, dim).  Centered stencils inside, one-sided
-    second-order stencils on the two boundary layers of each axis.
-    """
-    vals = A(pts)  # (*shape, dim)
-    dim = A.dim
-    jac = np.empty(vals.shape[:-1] + (dim, dim))
-    for n in range(dim):  # derivative direction
-        jac[..., :, n] = _sample_derivative(vals, n, h[n])
-    return jac
-
-
 def curl(A: PotentialField, window, resolution: int) -> TwoForm:
     """Sample B_mn = d_n A_m - d_m A_n for all m < n on the window.
 
     Uses the analytic jacobian when the field has one, evaluated one axis-0
     slab at a time so no full-window mesh or jacobian is ever held; otherwise
-    centered finite differences (one-sided at the window boundary) on the
-    whole mesh.
+    ``curl_of_samples`` of the samples on the whole mesh.
     """
     if resolution < 3:
         raise ValueError(f"resolution must be >= 3 to form centered differences, got {resolution}")
@@ -148,16 +133,12 @@ def curl(A: PotentialField, window, resolution: int) -> TwoForm:
         shape = (resolution,) * A.dim
         components = {mn: np.empty(shape) for mn in pairs}
         for i in range(resolution):
-            slab = np.stack(np.meshgrid(axes[0][i : i + 1], *axes[1:], indexing="ij"), axis=-1)
-            jac = A.jacobian(slab)
+            jac = A.jacobian(_mesh_points([axes[0][i : i + 1], *axes[1:]]))
             for m, n in pairs:
                 components[(m, n)][i : i + 1] = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
     elif pairs:
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         h = np.array([(hi - lo) / (resolution - 1) for lo, hi in win])
-        jac = _fd_jacobian(A, mesh, h)
-        for m, n in pairs:
-            components[(m, n)] = jac[..., m - 1, n - 1] - jac[..., n - 1, m - 1]
+        components = curl_of_samples(A.on_axes(axes), h)
     sups = {mn: float(np.max(np.abs(b))) for mn, b in components.items()}
     return TwoForm(dim=A.dim, window=win, axes=axes, components=components, sup_norms=sups)
 

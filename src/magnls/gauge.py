@@ -275,8 +275,8 @@ def corrected_potential_samples(A: PotentialField, y, axes) -> np.ndarray:
     shape = tuple(len(ax) for ax in axes)
     Avals = A(_mesh_points(axes))  # (*shape, dim)
     head = [np.array([yi]) for yi in y]
-    out = np.empty((dim,) + shape)
-    for n in range(1, dim + 1):
+    out = np.zeros((dim,) + shape)  # component 1 is A_1(x) - A_1(x) = 0
+    for n in range(2, dim + 1):
         # A_n with the first n-1 coordinates pinned to y
         pinned = A(_mesh_points([*head[: n - 1], *axes[n - 1:]]))[..., n - 1]
         comp = Avals[..., n - 1] - pinned

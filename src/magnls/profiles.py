@@ -21,6 +21,7 @@ from .calculus import (
     bump,
     energy_EA,
     lp_norm,
+    prepare_potential,
 )
 from .field import PotentialField, field_library
 from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert, shifted_corrected_samples
@@ -226,7 +227,6 @@ class ProfileTerm:
     index: int
     trajectory: list  # y_k per step; all zeros for the index-0 term
     profile: ComplexField
-    a_inf: Optional[np.ndarray]  # potential-at-infinity samples; None only for the index-0 term
     a_inf_converged: Optional[bool] = None
     tail_agreement: float = 0.0
     converged: bool = True
@@ -330,7 +330,6 @@ def extract_profiles(
             index=0,
             trajectory=[np.zeros(dim) for _ in range(K)],
             profile=v0,
-            a_inf=None,
             a_inf_converged=None,
             tail_agreement=agree0,
             converged=conv0,
@@ -376,16 +375,13 @@ def extract_profiles(
         if all(b > a for a, b in zip(tail_norms[:-1], tail_norms[1:])):
             # convergence is judged on the bounded profile window and needs
             # strictly growing radii; a tail that parks for a step is still
-            # measured in the frame of its last center below
+            # measured in the frame of its last center by the verifier
             n_probe = min(33, min(grid.n))
             if n_probe % 2 == 0:
                 n_probe -= 1
             probe = Grid(opts.window_radius, n_probe, dim=grid.dim)
             _, rep = potential_at_infinity(A, tail_traj, probe)
             a_conv = rep["converged"]
-        # the energy samples live on the full grid (the profile vanishes
-        # outside its window, so the far values are inert)
-        a_inf = shifted_corrected_samples(A, tail_traj[-1], grid)
 
         for k in range(K):
             g = tail_shifts.pop(k) if k in tail_shifts else shift_to(k)
@@ -397,7 +393,6 @@ def extract_profiles(
                 index=n,
                 trajectory=traj,
                 profile=v,
-                a_inf=a_inf,
                 a_inf_converged=a_conv,
                 tail_agreement=agree,
                 converged=conv,
@@ -429,8 +424,9 @@ def verify_decomposition(
     """Check the identities a valid decomposition must satisfy.
 
     The |u|^p masses of the terms must add up to the sequence's tail mass;
-    the L^2 masses and the energies (each term measured against its own
-    potential at infinity) may only fall short, never exceed, by more than
+    the L^2 masses and the energies (each moving term measured against its
+    own potential at infinity A_y(. + y), y the last point of its
+    trajectory) may only fall short, never exceed, by more than
     the tolerance 1e-6.  Pairwise trajectory separations must grow.
     ``A=None`` means the zero field.
     """
@@ -449,10 +445,14 @@ def verify_decomposition(
     l2_terms = sum(lp_norm(t.profile, 2.0) ** 2 for t in dec.terms)
     l2_slack = l2_tail - l2_terms
 
-    e_tail = min(energy_EA(u, A) for u in seq[K // 2:])
+    prep = prepare_potential(A, grid)
+    e_tail = min(energy_EA(u, prep) for u in seq[K // 2:])
     e_terms = 0.0
     for t in dec.terms:
-        e_terms += energy_EA(t.profile, A if t.index == 0 else t.a_inf)
+        # a moving term's potential at infinity is sampled on the full grid
+        # (the profile vanishes outside its window, so the far values are inert)
+        frame = prep if t.index == 0 else shifted_corrected_samples(A, t.trajectory[-1], grid)
+        e_terms += energy_EA(t.profile, frame)
     energy_slack = e_tail - e_terms
     compared = seq[K // 2:] + [t.profile for t in dec.terms]
     bmass = max(f.boundary_mass_fraction() for f in compared)

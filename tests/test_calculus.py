@@ -21,7 +21,7 @@ from magnls.calculus import (
     prepare_potential,
     staggered_gradient,
 )
-from magnls.field import field_library
+from magnls.field import PotentialField, field_library
 
 A0 = field_library("zero")
 
@@ -444,3 +444,24 @@ def test_prepared_potential_reuse():
     # midpoint averaging of node samples agrees with exact midpoints to O(h^2)
     e_avg = energy_EA(u, node_samples)
     assert e_avg == pytest.approx(energy_EA(u, A), rel=5e-4)
+
+
+def test_prepare_potential_samples_only_edge_midpoints():
+    # an evaluator is read once per axis m, on the nodes with axis m replaced
+    # by its n_m + 1 edge midpoints (half a step beyond each end)
+    g = Grid((4.0, 3.0, 2.0), (9, 7, 5))
+    A = field_library("symmetric", b=0.7, dim=3)
+    meshes = []
+
+    def ev(p):
+        meshes.append(p)
+        return A.eval_fn(p)
+
+    prepare_potential(PotentialField(3, ev, A.jac_fn), g)
+    assert len(meshes) == g.dim
+    for m, pts in enumerate(meshes):
+        axes = list(g.axes)
+        axes[m] = -g.extents[m] - 0.5 * g.h[m] + g.h[m] * np.arange(g.n[m] + 1)
+        expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        assert pts.shape == expected.shape
+        assert np.allclose(pts, expected, rtol=0, atol=1e-12)

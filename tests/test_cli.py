@@ -326,12 +326,20 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("extract", {"eps_mass": -1}),
         ("K", 4),
         ("extract", {"tail_window": 4}),
+        ("profiles", [{"width": -1}]),
+        ("profiles", [{"width": 0}]),
+        ("profiles", [{"width": float("inf")}]),
+        ("profiles", [{"center": [1]}]),
+        ("profiles", [{"wave": [1]}]),
+        ("profiles", [{"trajectory": [1.0]}]),
+        ("profiles", [{"center": [1, 0, 0]}]),
     ],
     ids=[
         "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
         "max-profiles-negative", "p-1.5", "n-fraction", "dim-fraction", "K-fraction", "max-profiles-fraction",
         "tail-window-fraction", "seed-fraction", "window-radius-0", "window-radius-inf", "eps-mass-negative",
-        "K-below-two-tail-windows", "tail-window-above-half-K",
+        "K-below-two-tail-windows", "tail-window-above-half-K", "width-negative", "width-0", "width-inf",
+        "center-short", "wave-short", "trajectory-short", "center-long",
     ],
 )
 def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):
@@ -349,6 +357,31 @@ def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section,
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     assert run(["profiles", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+
+
+def test_profiles_scalar_L_with_dim(tmp_path):
+    spec = {"grid": {"L": 6.0, "n": 49, "dim": 2}, "K": 6, "profiles": [{"width": 0.8}]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert run(["profiles", "--spec", str(path), "--out", str(tmp_path / "out")]) == 0
+    grid = read_json(tmp_path / "out" / "decomposition.json")["grid"]
+    assert grid["n"] == [49, 49] and grid["extents"] == [6.0, 6.0]
+
+
+@pytest.mark.parametrize("case", ["spec-directory", "out-existing-file", "out-below-a-file"])
+def test_os_error_exits_1(tmp_path, capsys, case):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"grid": {"L": 6.0, "n": 49, "dim": 2}, "K": 6}))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    spec_arg, out_arg = {
+        "spec-directory": (tmp_path, tmp_path / "out"),
+        "out-existing-file": (spec, taken),
+        "out-below-a-file": (spec, taken / "sub"),
+    }[case]
+    assert run(["profiles", "--spec", str(spec_arg), "--out", str(out_arg)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
 

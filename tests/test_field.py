@@ -75,6 +75,21 @@ def test_fd_curl_matches_analytic_and_converges():
     assert 3.5 <= ratio <= 4.5
 
 
+@pytest.mark.parametrize(
+    "tag,dim,kw", [("gaussian_decay", 2, {"b0": 0.5}), ("symmetric", 3, {"b": 0.7}), ("lattice_periodic", 3, {"b": 0.5})]
+)
+def test_fd_curl_is_curl_of_samples(tag, dim, kw):
+    # a field without a jacobian takes the one finite-difference body
+    A = field_library(tag, dim=dim, **kw)
+    A_nojac = PotentialField(dim, A.eval_fn, None, tag="custom")
+    B = curl(A_nojac, 2.0, 17)
+    h = np.array([(hi - lo) / 16 for lo, hi in B.window])
+    expected = curl_of_samples(A.on_axes(B.axes), h)
+    assert B.components.keys() == expected.keys()
+    for mn, comp in expected.items():
+        assert np.array_equal(B.components[mn], comp)
+
+
 def test_sup_norm_monotone_under_window_growth():
     # enlarge the window at fixed sampling density (nested node sets)
     A = field_library("gaussian_decay", b0=0.3, s=1.0)

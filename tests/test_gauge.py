@@ -201,6 +201,24 @@ def test_direct_formula_requires_jacobian():
         corrected_potential_samples(A_nojac, (1.0, 0.0), GRID.axes)
 
 
+@pytest.mark.parametrize("tag,dim", [("symmetric", 2), ("symmetric", 3), ("lattice_periodic", 3)])
+def test_corrected_component_one_is_exact_zero(tag, dim):
+    # (A_y)_1 = A_1(x) - A_1(x) is zero without a second full-mesh evaluation
+    A = field_library(tag, b=0.7, dim=dim)
+    axes = [np.linspace(-2.0, 2.0, 9 + 2 * k) for k in range(dim)]
+    shape = tuple(len(ax) for ax in axes)
+    meshes = []
+
+    def ev(p):
+        meshes.append(p.shape[:-1])
+        return A.eval_fn(p)
+
+    samples = corrected_potential_samples(PotentialField(dim, ev, A.jac_fn), np.full(dim, 0.5), axes)
+    assert np.array_equal(samples[0], np.zeros(shape)) and not np.signbit(samples[0]).any()
+    assert meshes.count(shape) == 1
+    assert np.array_equal(samples, corrected_potential_samples(A, np.full(dim, 0.5), axes))
+
+
 def test_slab_vanishing_gaussian():
     # (A_y)_2 vanishes on the slab x1 = y1; (A_y)_1 vanishes everywhere
     A = field_library("gaussian_decay", b0=0.5, s=1.0)
