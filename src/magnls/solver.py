@@ -6,12 +6,13 @@ bracket, critical-point search) is phrased against that oracle.
 """
 
 from dataclasses import dataclass, field
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import simpson, solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator
 
 from .calculus import (
     BOUNDARY_MASS_TOL,
@@ -55,6 +56,7 @@ __all__ = [
     "landscape_seed",
     "two_bump_diagnostic",
     "critical_point_search",
+    "minres",
 ]
 
 
@@ -913,6 +915,134 @@ def _stacked(apply, sqw: np.ndarray):
     return matvec
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two real vectors, in one thread: OpenBLAS ``ddot``
+    wakes a worker thread above 10k entries, which then spins between calls."""
+    return float(np.einsum("i,i", a, b))
+
+
+def minres(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
+    """Preconditioned MINRES for a real symmetric A: ``(x, info)``, x0 = 0.
+
+    The Paige-Saunders recurrences (C. C. Paige, M. A. Saunders, SIAM J.
+    Numer. Anal. 12 (1975) 617-629) with the rotations, stopping tests and
+    exit flag of ``scipy.sparse.linalg.minres``: info is ``maxiter`` when
+    the iteration cap stops it and 0 otherwise.  It reads A and the
+    symmetric positive definite M (the approximate inverse) only through
+    ``.matvec``.  Unlike scipy's, every inner product and norm of a full
+    vector is ``_dot``, so no reduction goes to threaded BLAS, and the
+    vector updates run in scipy's operation order on preallocated buffers.
+    """
+    matvec = A.matvec
+    psolve = M.matvec
+    n = b.shape[0]
+    eps = np.finfo(float).eps
+
+    x = np.zeros(n)
+    r1 = np.array(b, dtype=float)
+    y = psolve(r1)
+    beta1 = _dot(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0:
+        return x, 0
+    beta1 = sqrt(beta1)
+
+    istop = 0
+    itn = 0
+    oldb = 0.0
+    beta = beta1
+    dbar = 0.0
+    epsln = 0.0
+    phibar = beta1
+    tnorm2 = 0.0
+    gmax = 0.0
+    gmin = np.finfo(float).max
+    cs = -1.0
+    sn = 0.0
+    r2 = r1
+    v = np.empty(n)
+    tmp = np.empty(n)
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+
+    while itn < maxiter:
+        itn += 1
+        np.multiply(y, 1.0 / beta, out=v)
+        # A's output is never written to, and no name keeps it past this block
+        y = matvec(v)
+        if itn >= 2:
+            np.multiply(r1, beta / oldb, out=tmp)
+            y = np.subtract(y, tmp, out=r1)  # r1 is not read again
+        alfa = _dot(v, y)
+        np.multiply(r2, alfa / beta, out=tmp)
+        y = np.subtract(y, tmp, out=y if itn >= 2 else None)
+        r1 = r2
+        r2 = y
+        y = psolve(r2)
+        oldb = beta
+        beta = _dot(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        if itn == 1 and beta / beta1 <= 10 * eps:
+            istop = -1  # beta2 = 0: b and x are eigenvectors of M A
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = sqrt(gbar * gbar + dbar * dbar)
+        gamma = max(sqrt(gbar * gbar + beta * beta), eps)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # w = ((v - oldeps w1) - delta w2) * (1 / gamma), into the old w1 buffer
+        w1, w2 = w2, w
+        w1 *= oldeps
+        np.subtract(v, w1, out=w1)
+        np.multiply(w2, delta, out=tmp)
+        w1 -= tmp
+        w1 *= 1.0 / gamma
+        w = w1
+        np.multiply(w, phi, out=tmp)
+        x += tmp
+
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        Anorm = sqrt(tnorm2)
+        ynorm = sqrt(_dot(x, x))
+        epsx = Anorm * ynorm * eps
+        test1 = np.inf if ynorm == 0 or Anorm == 0 else phibar / (Anorm * ynorm)
+        test2 = np.inf if Anorm == 0 else root / Anorm
+        Acond = gmax / gmin
+
+        if istop == 0:
+            if 1 + test2 <= 1:
+                istop = 2
+            if 1 + test1 <= 1:
+                istop = 1
+            if itn >= maxiter:
+                istop = 6
+            if Acond >= 0.1 / eps:
+                istop = 4
+            if epsx >= beta1:
+                istop = 3
+            if test2 <= rtol:
+                istop = 2
+            if test1 <= rtol:
+                istop = 1
+        if istop != 0:
+            break
+
+    return x, (maxiter if istop == 6 else 0)
+
+
 def critical_point_search(
     A,
     params: FunctionalParams,
@@ -944,6 +1074,14 @@ def critical_point_search(
     ``_poisson_solver`` of ``minimize_constrained`` ignores that scaling and
     takes more MINRES steps here.  ``minres_info`` keeps MINRES's exit flag
     per Newton step (0 when it met its forcing tolerance).
+
+    MINRES is this module's ``minres``, whose inner products and norms run
+    in one thread.  scipy's ``minres`` took them through OpenBLAS ``ddot``,
+    which on the 550k-entry stacked vectors of the 65^3 benchmark solve woke
+    a second thread that spun between calls: the benchmark's median
+    ``cpu_s`` for that command fell from 9.0 to 5.7 s, with ``wall_s`` at
+    4.7 s on both sides (2-vCPU VM).  The search, and so the ``solve``
+    artifacts, no longer depend on the BLAS thread count.
     """
     grid = seed.grid
     Avals = prepare_potential(A, grid)

@@ -173,6 +173,32 @@ def test_readme_solve_minres_matvecs(tmp_path, monkeypatch):
     assert doc["minres_unconverged"] == 0
 
 
+def test_readme_solve_artifacts_independent_of_blas_threads(tmp_path):
+    # MINRES takes its inner products in one thread, so the README solve
+    # case writes the same bytes under one OpenBLAS thread and under the
+    # default; with scipy's minres all three files differed.  At 129^2 the
+    # stacked vectors (33k entries) are above OpenBLAS's threading threshold
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for extra in ({"OPENBLAS_NUM_THREADS": "1"}, {}):
+        out = tmp_path / f"s{len(outs)}"
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "magnls.cli", "solve", "--field", "landau:b=0.5", "--dim", "2",
+                "--p", "4", "--lambda", "1", "--R", "2", "--T", "3", "--out", str(out),
+            ],
+            env=dict(env, **extra),
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out)
+    for name in ("solve.json", "u.csv", "trace.csv"):
+        assert filecmp.cmp(outs[0] / name, outs[1] / name, shallow=False), name
+
+
 @pytest.mark.parametrize("spec", ["periodic:b=0.5,L=2", "landau:b=1"])
 def test_readme_family_solve_converges(tmp_path, spec):
     # with the forcing cap 0.1 both ran all 60 Newton steps and exited 2

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import minres as scipy_minres
 
 from magnls.calculus import (
     ComplexField,
@@ -26,6 +28,7 @@ from magnls.solver import (
     landscape_eval,
     landscape_seed,
     minimize_constrained,
+    minres,
     nehari_scale,
     radial_ground_state,
     two_bump_diagnostic,
@@ -598,3 +601,83 @@ def test_stacked_newton_operator_matches_packed_form(grid, tag, kwargs):
         for x, y in zip(vecs, vecs[1:]):
             kxy, xky = float(np.dot(K(x), y)), float(np.dot(x, K(y)))
             assert abs(kxy - xky) <= 1e-12 * abs(kxy)
+
+
+# ---------------------------------------------------------------------------
+# MINRES
+# ---------------------------------------------------------------------------
+
+
+def _indefinite_system(seed, n=400):
+    """Random symmetric A with eigenvalues of modulus 1 to 10 and both signs,
+    an SPD diagonal preconditioner, and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eig = rng.uniform(1.0, 10.0, n) * rng.choice([-1.0, 1.0], n)
+    A = (Q * eig) @ Q.T
+    return 0.5 * (A + A.T), rng.uniform(0.5, 2.0, n), rng.standard_normal(n)
+
+
+def _counted(matrix):
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return matrix @ x
+
+    return LinearOperator(matrix.shape, matvec=matvec, dtype=float), calls
+
+
+def _both_minres(A, b, M, **kwargs):
+    """(x, info, matvecs) from scipy's minres and from ``solver.minres``."""
+    out = []
+    for solve in (scipy_minres, minres):
+        op, calls = _counted(A)
+        x, info = solve(op, b, M=M, **kwargs)
+        out.append((x, info, len(calls)))
+    return out
+
+
+def _diagonal(d):
+    return LinearOperator((d.size, d.size), matvec=lambda x: x / d, dtype=float)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minres_matches_scipy(seed):
+    # same recurrences and stopping tests: only the summation order of the
+    # reductions differs, so the runs take the same steps to the same x
+    A, d, b = _indefinite_system(seed)
+    M = _diagonal(d)
+    (x_ref, info_ref, n_ref), (x, info, n) = _both_minres(A, b, M, rtol=1e-3, maxiter=1000)
+    assert n == n_ref and 20 < n < 1000
+    assert info == info_ref == 0
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+    assert np.linalg.norm(A @ x - b) <= 0.1 * np.linalg.norm(b)
+
+
+def test_minres_iteration_cap_returns_maxiter():
+    A, d, b = _indefinite_system(7)
+    M = _diagonal(d)
+    (x_ref, info_ref, n_ref), (x, info, n) = _both_minres(A, b, M, rtol=1e-3, maxiter=5)
+    assert info == info_ref == 5
+    assert n == n_ref == 5
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_minres_zero_rhs_returns_zero():
+    A, d, _ = _indefinite_system(1, n=50)
+    op, calls = _counted(A)
+    x, info = minres(op, np.zeros(50), rtol=1e-3, maxiter=100, M=_diagonal(d))
+    assert info == 0 and not calls
+    assert np.array_equal(x, np.zeros(50))
+
+
+def test_minres_indefinite_preconditioner_raises():
+    A, d, b = _indefinite_system(2, n=50)
+    d[::2] *= -1.0
+    M = _diagonal(d)
+    b = np.where(d < 0, 3.0, 1.0) * np.abs(b)
+    assert float(b @ M.matvec(b)) < 0
+    for solve in (scipy_minres, minres):
+        with pytest.raises(ValueError, match="indefinite preconditioner"):
+            solve(_counted(A)[0], b, rtol=1e-3, maxiter=100, M=M)
