@@ -4,7 +4,7 @@ Fields are treated as compactly supported (zero ghost values beyond the
 window).  The energy, every variational operator and the pointwise
 inequality verifiers use the staggered covariant derivative
 
-    (S_m u)[midpoint] = a_m u_+ - b_m u_-,  a_m, b_m = 1/h_m +- i A_m(midpoint)/2,
+    (S_m u)[midpoint] = a_m u_+ - b_m u_-,  a_m = 1/h_m + i A_m(midpoint)/2,  b_m = conj(a_m),
 
 second-order accurate at cell midpoints; ``PreparedPotential`` builds these
 edge coefficients once.  Since b_m = conj(a_m), the diamagnetic and sandwich
@@ -230,7 +230,7 @@ class FunctionalParams:
         if self.dim is not None:
             pmax = _critical_exponent(self.dim)
             if not (2.0 < self.p < pmax):
-                raise ValueError(f"p must lie strictly in (2, {pmax}) for dim {self.dim}, got {self.p}")
+                raise ValueError(f"p must lie in the admissible range (2, {pmax}) for dim {self.dim}, got {self.p}")
         elif self.p <= 2.0:
             raise ValueError(f"p must exceed 2, got {self.p}")
         if not self.lam > 0:
@@ -252,7 +252,7 @@ def _midpoint_axes(grid: Grid, m: int) -> list:
 
 
 class PreparedPotential:
-    """The edge coefficients of S for one potential on one grid.
+    """The edge coefficients a = 1/h + i A(mid)/2 and b = conj(a) of S for one potential on one grid.
 
     Prepare once and reuse inside iteration loops; all calculus operators
     accept a PotentialField, raw node samples (dim, *shape), or this.
@@ -261,9 +261,11 @@ class PreparedPotential:
     def __init__(self, grid: Grid, edge_A: list):
         self.grid = grid
         # S_m u = a_m u_+ - b_m u_- on the n_m + 1 axis-m edges (the outer two
-        # reach the zero ghosts); edge_A[m] is component m at their midpoints
+        # reach the zero ghosts); edge_A[m] is component m at their midpoints.
+        # The line for a is the only one that knows the edge rule.  b = conj(a)
+        # is stored: taking it in every apply slows the landscape scan.
         self.a = [1.0 / h + 0.5j * Am for h, Am in zip(grid.h, edge_A)]
-        self.b = [1.0 / h - 0.5j * Am for h, Am in zip(grid.h, edge_A)]
+        self.b = [np.conj(a) for a in self.a]
 
     @cached_property
     def stencil(self):
@@ -271,23 +273,24 @@ class PreparedPotential:
 
         With edge j between nodes j-1 and j, row j along axis m reads
         ((M|a|^2)_j + (M|b|^2)_{j+1}) u_j - c_{j+1} u_{j+1} - conj(c_j) u_{j-1},
-        c = M conj(b) a on the n_m - 1 interior edges.
+        c = M conj(b) a = M a^2 on the n_m - 1 interior edges.
         """
         grid = self.grid
         diag = np.zeros(grid.shape)
         couplings = []
-        for m, (a, b) in enumerate(zip(self.a, self.b)):
+        for m, a in enumerate(self.a):
             M = _mid_measure(grid, m)
             at = partial(_along, grid.dim, m)
-            diag += (M * np.abs(a) ** 2)[at(slice(0, -1))] + (M * np.abs(b) ** 2)[at(slice(1, None))]
+            Ma2 = M * np.abs(a) ** 2  # M|b|^2 too, as b = conj(a)
+            diag += Ma2[at(slice(0, -1))] + Ma2[at(slice(1, None))]
             inner = at(slice(1, -1))
-            couplings.append(M[inner] * np.conj(b[inner]) * a[inner])
+            couplings.append(M[inner] * a[inner] * a[inner])
         return diag, couplings
 
 
 def prepare_potential(A, grid: Grid) -> "PreparedPotential":
-    """Sample A once for ``grid`` at the edge midpoints: evaluators through
-    ``on_axes`` (one midpoint mesh per axis), raw node arrays by averaging."""
+    """Sample A once for ``grid`` at the edge midpoints: evaluators through ``on_axes``
+    (one mesh per axis), raw node arrays by ``_edge_mean`` with boundary-copy ghosts."""
     if isinstance(A, PreparedPotential):
         if A.grid.shape != grid.shape:
             raise ValueError("prepared potential belongs to a different grid")
@@ -298,12 +301,7 @@ def prepare_potential(A, grid: Grid) -> "PreparedPotential":
     arr = np.asarray(A, dtype=float)
     if arr.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"potential samples shape {arr.shape}, expected {(grid.dim,) + grid.shape}")
-    edge_A = []
-    for m, comp in enumerate(arr):
-        at = partial(_along, grid.dim, m)
-        inner_avg = 0.5 * (comp[at(slice(0, -1))] + comp[at(slice(1, None))])
-        edge_A.append(np.concatenate((comp[at(slice(0, 1))], inner_avg, comp[at(slice(-1, None))]), axis=m))
-    return PreparedPotential(grid, edge_A)
+    return PreparedPotential(grid, [_edge_mean(comp, m, "edge") for m, comp in enumerate(arr)])
 
 
 def staggered_gradient(u: ComplexField, A) -> list:
@@ -322,6 +320,13 @@ def _edge_values(vals: np.ndarray, prep: "PreparedPotential") -> list:
         G[hi] -= b[hi] * vals
         out.append(G)
     return out
+
+
+def _edge_mean(vals: np.ndarray, m: int, mode: str = "constant") -> np.ndarray:
+    """(v_+ + v_-)/2 on the n_m + 1 axis-m edges; the ghost beyond each end follows ``np.pad``'s
+    ``mode``: "constant" (zero) for fields, "edge" (a boundary copy) for potential node samples."""
+    padded = np.pad(vals, [(1, 1) if ax == m else (0, 0) for ax in range(vals.ndim)], mode=mode)
+    return 0.5 * (padded[_along(vals.ndim, m, slice(1, None))] + padded[_along(vals.ndim, m, slice(0, -1))])
 
 
 def _mid_measure(grid: Grid, m: int) -> np.ndarray:
@@ -420,16 +425,6 @@ def lp_norm(u: ComplexField, p: float) -> float:
 # Pointwise inequality verifiers
 # ---------------------------------------------------------------------------
 
-def _edge_means(vals: np.ndarray) -> list:
-    """Per axis m, the mean (v_+ + v_-)/2 on the n_m + 1 axis-m edges (zero ghosts)."""
-    out = []
-    for m in range(vals.ndim):
-        padded = np.pad(vals, [(1, 1) if ax == m else (0, 0) for ax in range(vals.ndim)])
-        at = partial(_along, vals.ndim, m)
-        out.append(0.5 * (padded[at(slice(1, None))] + padded[at(slice(0, -1))]))
-    return out
-
-
 def diamagnetic_check(u: ComplexField, A) -> dict:
     """|S_A u| >= |S_0 |u|| on every staggered edge, and the integrated gap.
 
@@ -454,10 +449,10 @@ def diamagnetic_check(u: ComplexField, A) -> dict:
 def pointwise_bounds_check(u: ComplexField, A) -> dict:
     """Edgewise sandwich bounds between |S_A u|^2 and |S_0 u|^2.
 
-    On an edge S_A u - S_0 u = i A(mid) (u_+ + u_-)/2, so with
-    m = (|u_+| + |u_-|)/2 both |S_A u|^2 >= |S_0 u|^2 / 2 - |A(mid)|^2 m^2
-    and |S_0 u|^2 <= 2 |S_A u|^2 + 2 |A(mid)|^2 m^2 are exact algebra: a
-    slack below rounding is a bug.  Also reports the interval of
+    On an edge with b = conj(a), S_A u - S_0 u = (a - 1/h) u_+ - conj(a - 1/h) u_-.
+    With d = 2 |a - 1/h| (|A(mid)| under the midpoint rule) and m = (|u_+| + |u_-|)/2,
+    both |S_A u|^2 >= |S_0 u|^2 / 2 - d^2 m^2 and |S_0 u|^2 <= 2 |S_A u|^2 + 2 d^2 m^2
+    are exact algebra: a slack below rounding is a bug.  Also reports the interval of
     (E_A(w) + |w|_2^2) / (E_0(w) + |w|_2^2), the squared H^1_A / H^1 norm
     ratio, over 8 test bumps w drawn from ``np.random.default_rng(0)``.
     """
@@ -465,12 +460,12 @@ def pointwise_bounds_check(u: ComplexField, A) -> dict:
     prep = prepare_potential(A, grid)
     zero = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid)
     s1 = s2 = np.inf
-    edges = zip(prep.a, _edge_values(u.values, prep), _edge_values(u.values, zero), _edge_means(np.abs(u.values)))
-    for a, gA, g0, mean in edges:
-        Am2 = (2.0 * a.imag * mean) ** 2  # |A(mid)|^2 m^2, as Im a = A(mid)/2
+    edges = zip(grid.h, prep.a, _edge_values(u.values, prep), _edge_values(u.values, zero))
+    for m, (h, a, gA, g0) in enumerate(edges):
+        dm2 = (2.0 * np.abs(a - 1.0 / h) * _edge_mean(np.abs(u.values), m)) ** 2  # d^2 m^2
         gA2, g02 = np.abs(gA) ** 2, np.abs(g0) ** 2
-        s1 = min(s1, float(np.min(gA2 - 0.5 * g02 + Am2)))  # >= 0
-        s2 = min(s2, float(np.min(2.0 * gA2 + 2.0 * Am2 - g02)))  # >= 0
+        s1 = min(s1, float(np.min(gA2 - 0.5 * g02 + dm2)))  # >= 0
+        s2 = min(s2, float(np.min(2.0 * gA2 + 2.0 * dm2 - g02)))  # >= 0
 
     rng = np.random.default_rng(0)
     ratios = []

@@ -52,6 +52,7 @@ from .solver import (
     landscape_seed,
     lattice_steps,
     radial_ground_state,
+    _check_search_limits,
 )
 
 __all__ = ["main", "run"]
@@ -275,6 +276,7 @@ def _run_landscape(args) -> int:
 
 
 def _run_solve(args) -> int:
+    _check_search_limits(args.tol, args.max_iters)
     out = _outdir(args)
     grid, A, params, gs, land = _surface(args)
     seed = landscape_seed(land, gs, A, grid)

@@ -1,8 +1,8 @@
-"""Ground states, constrained minimization, and the minimax landscape.
+"""Ground states, constrained minimization, the minimax landscape and critical-point search.
 
-The field-free limit profile is computed by shooting on the radial equation;
-everything downstream (the smallness condition on B, the two-sided level
-bracket, critical-point search) is phrased against that oracle.
+The field-free limit profile comes from shooting on the radial equation; the
+smallness condition on B and the two-sided level bracket are phrased against
+it.  The critical-point search takes Newton steps, each solved by ``minres``.
 """
 
 from dataclasses import dataclass, field
@@ -189,10 +189,11 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if p <= 2 or (N > 2 and p >= 2.0 * N / (N - 2)):
-        raise ValueError(f"p = {p} outside the admissible range for N = {N}")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    FunctionalParams(p=p, lam=lam, dim=N)  # p admissible for N, lam > 0
+    if not (np.isfinite(r_max) and r_max > _R0):
+        raise ValueError(f"r_max must be finite and > {_R0}, got {r_max}")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
     u_zero = (0.5 * p * lam) ** (1.0 / (p - 2.0))  # height where the well energy balances
     lo = 0.5 * (u_zero + lam ** (1.0 / (p - 2.0)))
@@ -1043,6 +1044,14 @@ def minres(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     return x, (maxiter if istop == 6 else 0)
 
 
+def _check_search_limits(tol: float, max_iters: int) -> None:
+    """Raise ``ValueError`` unless tol is finite and > 0, and max_iters >= 0."""
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
+    if not max_iters >= 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+
+
 def critical_point_search(
     A,
     params: FunctionalParams,
@@ -1058,8 +1067,9 @@ def critical_point_search(
     and backtracks on ||residual||^2; falls back to the steepest-descent
     direction whenever the MINRES step is not a descent direction.  Stops at
     the residual tolerance, or reports ``stalled`` with the trace when 40
-    halvings of the step give no sufficient (Armijo) decrease.  A is any
-    potential that ``prepare_potential`` takes.
+    halvings of the step give no sufficient (Armijo) decrease; a seed within
+    tol takes 0 steps.  With ``gs`` every result carries the level bracket.
+    A is any potential that ``prepare_potential`` takes.
 
     MINRES solves each Newton system to the relative forcing
     ``min(1e-3, max(sqrt(||r||), 1e-6))``.  A looser cap of 0.1 cut the
@@ -1083,6 +1093,7 @@ def critical_point_search(
     4.7 s on both sides (2-vCPU VM).  The search, and so the ``solve``
     artifacts, no longer depend on the BLAS thread count.
     """
+    _check_search_limits(tol, max_iters)
     grid = seed.grid
     Avals = prepare_potential(A, grid)
     Vvals = _v_samples(params, grid)
@@ -1105,23 +1116,17 @@ def critical_point_search(
     def level_of(u_vals):
         return functional_I(ComplexField(grid, u_vals), Avals, params)
 
+    Mop = LinearOperator((2 * size, 2 * size), matvec=_block_preconditioner(grid, Vvals), dtype=float)
+
     u = seed.values.astype(complex).copy()
     r_vals, r_norm = residual(u)
     trace = [(level_of(u), r_norm)]
-    if r_norm < tol:
-        trivial = bool(np.max(np.abs(u)) < TRIVIAL_AMPLITUDE)
-        return SearchResult(
-            u=ComplexField(grid, u), level=trace[0][0], residual_norm=r_norm,
-            trace=trace, iterations=0, converged=True, stalled=False, trivial=trivial,
-        )
-
-    Mop = LinearOperator((2 * size, 2 * size), matvec=_block_preconditioner(grid, Vvals), dtype=float)
-
     minres_info = []
-    converged = False
+    converged = r_norm < tol
     stalled = False
     it = 0
-    for it in range(1, max_iters + 1):
+    while not converged and it < max_iters:
+        it += 1
         apply = _linearized_operator(u, Avals, Vvals, params.p, W)
 
         # Newton direction J d = r via preconditioned MINRES; for symmetric J
@@ -1145,22 +1150,18 @@ def critical_point_search(
                 break
         phi0 = 0.5 * r_norm**2
         alpha = 1.0
-        accepted = False
         for _ in range(40):
             cand = u - alpha * d
             c_vals, c_norm = residual(cand)
             if 0.5 * c_norm**2 <= phi0 - 1e-4 * alpha * slope:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             stalled = True
             break
         u, r_vals, r_norm = cand, c_vals, c_norm
         trace.append((level_of(u), r_norm))
-        if r_norm < tol:
-            converged = True
-            break
+        converged = r_norm < tol
 
     level = trace[-1][0]
     trivial = bool(np.max(np.abs(u)) < TRIVIAL_AMPLITUDE)
@@ -1173,6 +1174,6 @@ def critical_point_search(
         }
     return SearchResult(
         u=ComplexField(grid, u), level=level, residual_norm=r_norm, trace=trace,
-        iterations=it, converged=converged, stalled=stalled and not converged,
+        iterations=it, converged=converged, stalled=stalled,
         trivial=trivial, bracket=bracket, minres_info=minres_info,
     )

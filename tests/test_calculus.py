@@ -5,6 +5,7 @@ from magnls.calculus import (
     ComplexField,
     FunctionalParams,
     Grid,
+    PreparedPotential,
     RealField,
     bump,
     default_grid,
@@ -444,6 +445,23 @@ def test_prepared_potential_reuse():
     # midpoint averaging of node samples agrees with exact midpoints to O(h^2)
     e_avg = energy_EA(u, node_samples)
     assert e_avg == pytest.approx(energy_EA(u, A), rel=5e-4)
+
+
+@pytest.mark.parametrize("shape", [(9, 7), (7, 5, 9)])
+def test_prepare_potential_node_samples_ghost_rule(shape):
+    # raw node samples reach the edges by averaging: each outer edge takes the
+    # boundary node value bitwise, each interior edge the mean of its two nodes
+    g = Grid(tuple(float(n) for n in shape), shape)
+    arr = np.random.default_rng(1).normal(size=(g.dim,) + g.shape)
+    edge_A = []
+    for m, comp in enumerate(arr):
+        node = np.moveaxis(comp, m, 0)
+        edges = np.concatenate((node[:1], 0.5 * (node[:-1] + node[1:]), node[-1:]))
+        edge_A.append(np.moveaxis(edges, 0, m))
+    prep, expected = prepare_potential(arr, g), PreparedPotential(g, edge_A)
+    for m in range(g.dim):
+        assert np.array_equal(prep.a[m], expected.a[m])
+        assert np.array_equal(prep.b[m], np.conj(prep.a[m]))
 
 
 def test_prepare_potential_samples_only_edge_midpoints():

@@ -295,6 +295,45 @@ def test_non_finite_lattice_input_exits_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("flag, value", [("--rmax", "nan"), ("--rmax", "inf"), ("--rmax", "-5"), ("--tol", "nan"), ("--tol", "-1")])
+def test_groundstate_bad_rmax_or_tol_exits_1(tmp_path, capsys, flag, value):
+    # a validation error with one message of ours: solve_ivp never returns
+    # on a nan r_max or tol, and an infinite r_max raises an IndexError
+    code = run(["groundstate", "--dim", "2", flag, value, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0], err
+
+
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--max-iters", "-3")])
+def test_solve_bad_search_limits_exit_1_before_shooting(tmp_path, capsys, monkeypatch, flag, value):
+    # a validation error, reported before any shooting, not a numerical failure
+    def no_shots(*args, **kwargs):
+        raise AssertionError("radial_ground_state ran")
+
+    monkeypatch.setattr(cli, "radial_ground_state", no_shots)
+    code = run(["solve", "--field", "landau:b=0.5", "--R", "1", flag, value, "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_solve_converged_seed_writes_bracket(tmp_path):
+    # the landscape seed is already within this tol: no Newton step, and
+    # solve.json still brackets the level
+    out = tmp_path / "s"
+    code = run([
+        "solve", "--field", "landau:b=0.5", "--dim", "2", "--L", "6", "--n", "49", "--R", "1",
+        "--tol", "10", "--out", str(out),
+    ])
+    assert code == 0
+    doc = read_json(out / "solve.json")
+    assert doc["iterations"] == 0 and doc["converged"] is True
+    assert doc["bracket"]["level"] == doc["level"]
+    assert doc["bracket"]["inside"] is True
+
+
 @pytest.mark.parametrize("command", ["landscape", "solve"])
 def test_bad_y_step_exits_1_before_shooting(tmp_path, capsys, monkeypatch, command):
     # the y-step lattice is checked with R and T, before the ground state is shot

@@ -107,6 +107,17 @@ def test_shooting_input_validation():
         radial_ground_state(2, 4.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"r_max": v} for v in (np.nan, np.inf, -5.0, 0.0)] + [{"tol": v} for v in (np.nan, np.inf, -1.0, 0.0)],
+)
+def test_shooting_rejects_bad_r_max_and_tol(kwargs):
+    # solve_ivp never returns on a nan r_max or tol, so both are checked first
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        radial_ground_state(2, 4.0, 1.0, **kwargs)
+
+
 def test_ode_residual_of_shooting_profile(gs3):
     # substitute the profile into the radial equation away from the endpoints
     r, w, dw = gs3.r, gs3.w, gs3.dw
@@ -442,6 +453,30 @@ def test_search_tiny_seed_is_trivial_at_once():
     res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-6)
     assert res.iterations == 0 and res.converged
     assert res.trivial
+
+
+def test_search_from_converged_seed_keeps_bracket(gs2):
+    # a seed already within tol takes no step, and the result still carries
+    # the level bracket
+    grid = Grid(8.0, 65, dim=2)
+    A = field_library("landau", b=0.5)
+    first = critical_point_search(A, PARAMS2, gs2.on_grid(grid), tol=1e-6)
+    assert first.converged and first.iterations > 0
+    res = critical_point_search(A, PARAMS2, first.u, tol=1e-6, gs=gs2)
+    assert res.iterations == 0 and res.converged and not res.stalled
+    assert res.level == first.level and res.residual_norm == first.residual_norm
+    assert res.minres_info == []
+    assert res.bracket == {"c_inf": gs2.c_inf, "level": res.level, "inside": True}
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [({"tol": v}, "tol") for v in (np.nan, np.inf, -1.0, 0.0)] + [({"max_iters": -3}, "max_iters")],
+)
+def test_search_rejects_bad_limits(kwargs, name):
+    grid = Grid(4.0, 17, dim=2)
+    with pytest.raises(ValueError, match=name):
+        critical_point_search(field_library("zero"), PARAMS2, bump(grid), **kwargs)
 
 
 def test_search_landau_bracket(gs2):
