@@ -202,6 +202,9 @@ def _run_gauge(args) -> int:
 def _run_groundstate(args) -> int:
     out = _outdir(args)
     gs = radial_ground_state(args.dim, args.p, args.lam, r_max=args.rmax, tol=args.tol)
+    residual, residual_tol = gs.nehari_residual(), 1e-6
+    if residual > residual_tol:
+        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {residual_tol:g}; raise --rmax or lower --tol")
     mio.radial_to_csv(gs.r, {"w": gs.w, "dw": gs.dw}, os.path.join(out, "w.csv"))
     doc = {
         "N": gs.N,
@@ -212,7 +215,7 @@ def _run_groundstate(args) -> int:
         "normp": gs.normp,
         "energy": gs.energy,
         "c_inf": gs.c_inf,
-        "nehari_residual": {"value": gs.nehari_residual(), "tol": 1e-6},
+        "nehari_residual": {"value": residual, "tol": residual_tol},
         "ode_tol": args.tol,
     }
     mio.write_json(doc, os.path.join(out, "gs.json"))

@@ -1,6 +1,7 @@
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -48,6 +49,27 @@ def test_groundstate_subcommand(tmp_path):
     w = np.loadtxt(out / "w.csv", delimiter=",", skiprows=1)
     assert w.shape[1] == 3  # r, w, dw
     assert os.path.exists(out / "manifest.json")
+
+
+@pytest.mark.parametrize("flag, value", [("--rmax", "0.5"), ("--tol", "10")])
+def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys, flag, value):
+    # valid inputs whose profile fails its own Nehari check (residual 0.67
+    # and 0.065 against 1e-6): a numerical failure, not a success
+    out = tmp_path / "gs"
+    code = run(["groundstate", "--dim", "2", "--p", "4", "--lambda", "1", flag, value, "--out", str(out)])
+    assert code == 2
+    doc = read_json(out / "diagnostic.json")
+    assert doc["type"] == "RuntimeError"
+    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06; .*", doc["failure"])
+    assert found and float(found.group(1)) > 1e-2, doc["failure"]
+    assert not os.path.exists(out / "gs.json")
+
+
+def test_groundstate_same_sign_bracket_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_shot_sign", lambda *args: 1.0)
+    out = tmp_path / "gs"
+    assert run(["groundstate", "--dim", "2", "--out", str(out)]) == 2
+    assert "no undershoot bracket" in read_json(out / "diagnostic.json")["failure"]
 
 
 def test_conditions_subcommand(tmp_path):

@@ -22,6 +22,7 @@ from magnls.gauge import make_shift, shift_apply
 from magnls.solver import (
     _block_preconditioner,
     _linearized_operator,
+    _shot_sign,
     _stacked,
     condition_report,
     critical_point_search,
@@ -56,7 +57,7 @@ def test_soliton_oracle_1d(gs1):
     assert gs1.c_inf == pytest.approx(4.0 / 3.0, rel=1e-11)
 
 
-@pytest.mark.parametrize("N, shots", [(1, 42), (2, 44), (3, 48)])
+@pytest.mark.parametrize("N, shots", [(1, 13), (2, 18), (3, 24)])
 def test_shot_count(N, shots, monkeypatch):
     from magnls import solver
 
@@ -71,6 +72,47 @@ def test_shot_count(N, shots, monkeypatch):
     radial_ground_state(N, 4.0, 1.0)
     assert len(calls) == shots
     assert set(calls) == {"DOP853"}
+
+
+# u0 and c_inf from the bisection on u(0) that Brent's method replaced
+BISECTION = {
+    1: (1.414213562372743, 1.3333333333399844),
+    2: (2.206200864636834, 5.850448220059866),
+    3: (4.3373876799823226, 18.897251302477763),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_ground_state_matches_bisection(N, request):
+    gs = request.getfixturevalue(f"gs{N}")
+    u0, c_inf = BISECTION[N]
+    assert gs.u0 == pytest.approx(u0, rel=1e-12, abs=0)
+    assert gs.c_inf == pytest.approx(c_inf, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_shot_sign_changes_sign_continuously_at_u0(N, request):
+    # brentq needs s continuous with one sign change: opposite signs just
+    # below and above u0, and |s| shrinking as the height nears u0
+    u0 = request.getfixturevalue(f"gs{N}").u0
+
+    def s(rel):
+        return _shot_sign(u0 * (1.0 + rel), N, 4.0, 1.0, 35.0, 1e-10)
+
+    for side in (-1.0, 1.0):
+        near, far = s(side * 1e-6), s(side * 1e-4)
+        assert np.sign(near) == np.sign(far) == side
+        assert abs(near) < abs(far)
+
+
+def test_same_sign_bracket_is_numerical_failure(monkeypatch):
+    # a bracket whose low end does not turn back up is a RuntimeError, not
+    # brentq's ValueError (which the CLI would report as a validation error)
+    from magnls import solver
+
+    monkeypatch.setattr(solver, "_shot_sign", lambda *args: 1.0)
+    with pytest.raises(RuntimeError, match="no undershoot bracket"):
+        radial_ground_state(2, 4.0, 1.0)
 
 
 def test_nehari_identity_3d(gs3):
