@@ -185,6 +185,10 @@ def _shot_sign(a: float, N: int, p: float, lam: float, r_max: float, rtol: float
     return (-1.0 if du + sq * u > 0 else 1.0) * exp(-2.0 * sq * r_max)
 
 
+# a ground state whose ``nehari_residual`` exceeds this is a numerical failure
+NEHARI_TOL = 1e-6
+
+
 def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: float = 1e-10) -> GroundState:
     """Shooting with Brent's method on u(0) for the positive radial decaying profile.
 
@@ -192,7 +196,8 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     up and one that crosses zero: 13/18/24 shots for N = 1/2/3 at p = 4 (the
     final dense one included), where bisection took 42/44/48.  The final
     profile is extended by the matched exponential tail beyond the last
-    trustworthy radius.
+    trustworthy radius.  A profile whose ``nehari_residual`` exceeds
+    ``NEHARI_TOL`` raises ``RuntimeError``, so no caller takes c_inf from it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -247,10 +252,14 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     normp = float((area * simpson(w**p * rpow, x=r)) ** (1.0 / p))
     energy = float(area * simpson(dw**2 * rpow, x=r))
     c_inf = (p - 2.0) / (2.0 * p) * normp**p
-    return GroundState(
+    gs = GroundState(
         N=N, p=p, lam=lam, u0=a_star, r=r, w=w, dw=dw,
         norm2=norm2, normp=normp, energy=energy, c_inf=c_inf,
     )
+    residual = gs.nehari_residual()
+    if residual > NEHARI_TOL:
+        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {NEHARI_TOL:g}; raise r_max or lower tol")
+    return gs
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +321,11 @@ def minimize_constrained(
     The J-gradient g (the quadratic part of the Euler-Lagrange residual) is
     preconditioned by P, the full-window DST inverse of the free Laplacian
     plus the shift ``max(mean(V), 1e-6)`` (``_poisson_solver``), applied to
-    real and imaginary parts alike.  ``critical_point_search`` preconditions
-    MINRES with the interior-block form instead; here that form takes 37
-    iterations on the README ``conditions`` lambda0 case against 15 (51 with
-    a plain ``2 sum 1/h^2 + shift`` boundary diagonal), so the minimizer keeps
-    the full window.
+    the complex field.  ``critical_point_search`` preconditions MINRES with
+    the interior-block form instead; here that form takes 37 iterations on
+    the README ``conditions`` lambda0 case against 15 (51 with a plain
+    ``2 sum 1/h^2 + shift`` boundary diagonal), so the minimizer keeps the
+    full window.
     The direction is P g with the P-image of the constraint normal
     n = |u|^{p-2} u projected out, ``d = P g - (<P g, n> / <P n, n>) P n``,
     so ``<d, n> = 0`` and d descends in the P metric (a Sobolev-gradient
@@ -357,10 +366,7 @@ def minimize_constrained(
     def ip(a, b):
         return float(np.sum(W * np.real(a * np.conj(b))))
 
-    pre = _poisson_solver(grid, Vvals)
-
-    def precondition(z):
-        return pre(z.real) + 1j * pre(z.imag)
+    precondition = _poisson_solver(grid, Vvals)
 
     def directions(vals, g):
         # project the constraint normal |u|^{p-2} u out of g (the raw residual
@@ -819,7 +825,7 @@ def _dst_denominator(points, h, V: np.ndarray) -> np.ndarray:
 def _poisson_solver(grid: Grid, V: np.ndarray):
     """Fast approximate inverse of (free Laplacian + shift) via sine transforms.
 
-    One DST-I over the whole window, in the node values that
+    One DST-I over the whole window of the complex node values that
     ``minimize_constrained`` works in.  The interior of the composed
     staggered Laplacian is the product 3-point stencil, which DST-I
     diagonalizes per axis; the window treats the outermost node layer as
@@ -831,38 +837,40 @@ def _poisson_solver(grid: Grid, V: np.ndarray):
 
     denom = _dst_denominator(grid.n, grid.h, V)
 
-    def solve(x):
-        return idstn(dstn(x, type=1) / denom, type=1)
+    def solve(z):
+        spectrum = dstn(z, type=1)
+        spectrum /= denom
+        return idstn(spectrum, type=1, overwrite_x=True)
 
     return solve
 
 
 def _block_preconditioner(grid: Grid, V: np.ndarray):
-    """Block inverse of the free packed operator for MINRES in ``critical_point_search``.
+    """Block inverse of the free operator in MINRES's variables, for ``critical_point_search``.
 
-    MINRES works on real vectors x = (Re, Im) of sqrt(W) z, where the free
-    operator is K = W^{1/2} (free Laplacian + shift) W^{-1/2}.  On the
-    (n-2)^dim interior nodes K is exactly the Dirichlet Laplacian plus the
-    shift, inverted by a DST-I of n-2 points per axis (a 2(n-1)-point FFT,
-    a power of two on the default 2^k+1 grids).  On the outermost node layer,
+    MINRES works on sqrt(W) z, where the free operator is K = W^{1/2} (free
+    Laplacian + shift) W^{-1/2}.  On the (n-2)^dim interior nodes K is
+    exactly the Dirichlet Laplacian plus the shift, inverted by a DST-I of
+    n-2 points per axis (a 2(n-1)-point FFT, a power of two on the default
+    2^k+1 grids) of the complex interior.  On the outermost node layer,
     where the sqrt(W) scaling makes K differ from that Laplacian, it divides
     by the diagonal of K.  The coupling between the two blocks is dropped,
     so the result is symmetric positive definite.  Both blocks add
-    ``_mass_shift(V)``.
+    ``_mass_shift(V)``.  It maps complex node arrays to fresh ones.
     """
     from scipy.fft import dstn, idstn
 
     denom = _dst_denominator(tuple(n - 2 for n in grid.n), grid.h, V)
     diag, _ = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid).stencil
     edge = diag / grid.weights() + _mass_shift(V)
-    inner = (slice(None),) + (slice(1, -1),) * grid.dim
-    axes = tuple(range(1, grid.dim + 1))
+    inner = (slice(1, -1),) * grid.dim
 
-    def solve(x):
-        z = x.reshape((2,) + grid.shape)
+    def solve(z):
         out = z / edge
-        out[inner] = idstn(dstn(z[inner], type=1, axes=axes) / denom, type=1, axes=axes)
-        return out.ravel()
+        spectrum = dstn(z[inner], type=1)
+        spectrum /= denom
+        out[inner] = idstn(spectrum, type=1, overwrite_x=True)
+        return out
 
     return solve
 
@@ -893,30 +901,6 @@ def _linearized_operator(u_vals, prep, Vvals, p, W):
     return apply
 
 
-def _stacked(apply, sqw: np.ndarray):
-    """``apply`` on MINRES's (Re, Im)-stacked vectors x of sqrt(W) z: x -> pack(apply(unpack(x))).
-
-    The two halves fill one complex work array, which is divided by sqrt(W)
-    in place; the result is scaled in place and written into a fresh
-    stacked vector.
-    """
-    shape, size = sqw.shape, sqw.size
-    work = np.empty(shape, dtype=complex)
-
-    def matvec(x):
-        work.real = x[:size].reshape(shape)
-        work.imag = x[size:].reshape(shape)
-        np.divide(work, sqw, out=work)
-        out = apply(work)
-        out *= sqw
-        stacked = np.empty((2,) + shape)
-        stacked[0] = out.real
-        stacked[1] = out.imag
-        return stacked.ravel()
-
-    return matvec
-
-
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of two real vectors, in one thread: OpenBLAS ``ddot``
     wakes a worker thread above 10k entries, which then spins between calls."""
@@ -931,7 +915,8 @@ def minres(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     exit flag of ``scipy.sparse.linalg.minres``: info is ``maxiter`` when
     the iteration cap stops it and 0 otherwise.  It reads A and the
     symmetric positive definite M (the approximate inverse) only through
-    ``.matvec``.  Unlike scipy's, every inner product and norm of a full
+    ``.matvec``; the search hands it complex fields as their float views.
+    Unlike scipy's, every inner product and norm of a full
     vector is ``_dot``, so no reduction goes to threaded BLAS, and the
     vector updates run in scipy's operation order on preallocated buffers.
     """
@@ -1076,10 +1061,11 @@ def critical_point_search(
     ``min(1e-3, max(sqrt(||r||), 1e-6))``.  A looser cap of 0.1 cut the
     residual only about 2.5x per step on the README ``solve`` case (12
     Newton steps, 77 matvecs, against 4 and 56 at 1e-3).  MINRES works on
-    the (Re, Im)-stacked vector of sqrt(W) z, and each matvec applies the
-    linearized operator (``_linearized_operator``) to that vector's node
-    values in one complex work array; the Newton gradient uses the same
-    apply.  MINRES is preconditioned by ``_block_preconditioner``: an exact
+    the float view of the complex array sqrt(W) z (C^n as R^2n: Re and Im
+    interleaved), so each matvec applies the linearized operator
+    (``_linearized_operator``) to the node values that vector views, with
+    no copy between layouts; the Newton gradient uses the same apply.
+    MINRES is preconditioned by ``_block_preconditioner``: an exact
     DST-I inverse on the interior nodes and the operator diagonal on the
     outermost layer, in those sqrt(W)-scaled variables.  The full-window
     ``_poisson_solver`` of ``minimize_constrained`` ignores that scaling and
@@ -1088,7 +1074,7 @@ def critical_point_search(
 
     MINRES is this module's ``minres``, whose inner products and norms run
     in one thread.  scipy's ``minres`` took them through OpenBLAS ``ddot``,
-    which on the 550k-entry stacked vectors of the 65^3 benchmark solve woke
+    which on the 550k-entry vectors of the 65^3 benchmark solve woke
     a second thread that spun between calls: the benchmark's median
     ``cpu_s`` for that command fell from 9.0 to 5.7 s, with ``wall_s`` at
     4.7 s on both sides (2-vCPU VM).  The search, and so the ``solve``
@@ -1100,15 +1086,16 @@ def critical_point_search(
     Vvals = _v_samples(params, grid)
     W = grid.weights()
     sqw = np.sqrt(W)
-    size = int(np.prod(grid.shape))
+    n = 2 * W.size
 
-    def pack(z):
-        zs = z * sqw
-        return np.concatenate((zs.real.ravel(), zs.imag.ravel()))
+    def vector(z):  # C^n as R^2n: MINRES's vector is the float view of z, Re and Im interleaved
+        return z.reshape(-1).view(float)
 
-    def unpack(x):
-        z = x[:size].reshape(grid.shape) + 1j * x[size:].reshape(grid.shape)
-        return z / sqw
+    def nodes(x):
+        return x.view(complex).reshape(grid.shape)
+
+    def operator(apply):  # apply on node values as MINRES reads it: views, no copies
+        return LinearOperator((n, n), matvec=lambda x: vector(apply(nodes(x))), dtype=float)
 
     def residual(u_vals):
         r, nrm = el_residual(ComplexField(grid, u_vals), Avals, params)
@@ -1117,7 +1104,7 @@ def critical_point_search(
     def level_of(u_vals):
         return functional_I(ComplexField(grid, u_vals), Avals, params)
 
-    Mop = LinearOperator((2 * size, 2 * size), matvec=_block_preconditioner(grid, Vvals), dtype=float)
+    Mop = operator(_block_preconditioner(grid, Vvals))
 
     u = seed.values.astype(complex).copy()
     r_vals, r_norm = residual(u)
@@ -1130,15 +1117,19 @@ def critical_point_search(
         it += 1
         apply = _linearized_operator(u, Avals, Vvals, params.p, W)
 
+        def scaled(z):  # the operator in the variables sqrt(W) z, where it is symmetric
+            out = apply(z / sqw)
+            out *= sqw
+            return out
+
         # Newton direction J d = r via preconditioned MINRES; for symmetric J
         # the slope of 1/2 ||r||^2 along -d is -<Jr, J^{-1}r> = -||r||^2, so
         # the (inexactly solved) Newton step is a genuine descent direction
-        Aop = LinearOperator((2 * size, 2 * size), matvec=_stacked(apply, sqw), dtype=float)
         grad = apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
         forcing = min(1e-3, max(np.sqrt(r_norm), 1e-6))
-        x, info = minres(Aop, pack(r_vals), rtol=forcing, maxiter=inner_iters, M=Mop)
+        x, info = minres(operator(scaled), vector(r_vals * sqw), rtol=forcing, maxiter=inner_iters, M=Mop)
         minres_info.append(int(info))
-        d = unpack(x)
+        d = nodes(x) / sqw
         slope = float(np.sum(W * np.real(np.conj(grad) * d)))
         gnorm2 = float(np.sum(W * np.abs(grad) ** 2))
         if not np.isfinite(slope) or slope <= 1e-10 * np.sqrt(gnorm2) * np.sqrt(

@@ -65,6 +65,21 @@ def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys, flag, value):
     assert not os.path.exists(out / "gs.json")
 
 
+@pytest.mark.parametrize("command", [["conditions"], ["landscape", "--R", "0"], ["solve", "--R", "0"]])
+def test_failed_nehari_check_exits_2_wherever_the_ground_state_is_shot(tmp_path, capsys, command):
+    # near the critical exponent the uniform shooting mesh misses the core:
+    # N = 3, p = 5.9, lambda = 4 gives a residual of 1.42, so no command may
+    # take c_inf from that profile
+    out = tmp_path / "run"
+    code = run(command + ["--dim", "3", "--p", "5.9", "--lambda", "4", "--out", str(out)])
+    assert code == 2
+    doc = read_json(out / "diagnostic.json")
+    assert doc["type"] == "RuntimeError"
+    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06; .*", doc["failure"])
+    assert found and float(found.group(1)) > 1.0, doc["failure"]
+    assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
+
+
 def test_groundstate_same_sign_bracket_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(solver, "_shot_sign", lambda *args: 1.0)
     out = tmp_path / "gs"
@@ -198,8 +213,8 @@ def test_readme_solve_minres_matvecs(tmp_path, monkeypatch):
 def test_readme_solve_artifacts_independent_of_blas_threads(tmp_path):
     # MINRES takes its inner products in one thread, so the README solve
     # case writes the same bytes under one OpenBLAS thread and under the
-    # default; with scipy's minres all three files differed.  At 129^2 the
-    # stacked vectors (33k entries) are above OpenBLAS's threading threshold
+    # default; with scipy's minres all three files differed.  At 129^2
+    # MINRES's vectors (33k entries) are above OpenBLAS's threading threshold
     thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
     env = {k: v for k, v in os.environ.items() if k not in thread_vars}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])

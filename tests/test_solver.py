@@ -19,11 +19,11 @@ from magnls.calculus import (
 )
 from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply
+from magnls import solver
 from magnls.solver import (
     _block_preconditioner,
-    _linearized_operator,
+    _poisson_solver,
     _shot_sign,
-    _stacked,
     condition_report,
     critical_point_search,
     landscape_eval,
@@ -576,16 +576,28 @@ def test_search_reports_stall_without_exception():
 PRECOND_GRIDS = [Grid(4.0, 17, dim=2), Grid(4.0, 9, dim=3)]
 
 
+def _interleaved(x, shape):
+    """MINRES's real vector written out: entries 2k and 2k+1 are Re and Im of flat node k."""
+    return (x[0::2] + 1j * x[1::2]).reshape(shape)
+
+
+def _flattened(z):
+    return np.stack((z.real.ravel(), z.imag.ravel()), axis=-1).ravel()
+
+
+def _on_vectors(apply, shape):
+    """A map of complex node arrays as a map of their interleaved real vectors."""
+    return lambda x: _flattened(apply(_interleaved(x, shape)))
+
+
 def _packed_operator(grid, A, V):
-    """K x = sqrt(W) (magnetic Laplacian + V) (x / sqrt(W)) on (Re, Im)-stacked vectors, as MINRES sees it."""
+    """K x = sqrt(W) (magnetic Laplacian + V) (x / sqrt(W)) on interleaved real vectors, as MINRES sees it."""
     prep = prepare_potential(A, grid)
     sqw = np.sqrt(grid.weights())
-    size = sqw.size
 
     def apply(x):
-        z = (x[:size] + 1j * x[size:]).reshape(grid.shape) / sqw
-        out = sqw * (magnetic_laplacian(ComplexField(grid, z), prep) + V * z)
-        return np.concatenate((out.real.ravel(), out.imag.ravel()))
+        z = _interleaved(x, grid.shape) / sqw
+        return _flattened(sqw * (magnetic_laplacian(ComplexField(grid, z), prep) + V * z))
 
     return apply
 
@@ -595,7 +607,7 @@ def _packed_operator(grid, A, V):
 def test_block_preconditioner_symmetric_positive(grid, tag, kwargs):
     # on random vectors and on the operator images MINRES feeds it
     V = np.full(grid.shape, PARAMS2.lam)
-    P = _block_preconditioner(grid, V)
+    P = _on_vectors(_block_preconditioner(grid, V), grid.shape)
     K = _packed_operator(grid, field_library(tag, dim=grid.dim, **kwargs), V)
     rng = np.random.default_rng(11)
     size = 2 * int(np.prod(grid.shape))
@@ -613,14 +625,26 @@ def test_block_preconditioner_exact_on_interior(grid):
     # with A = 0 and constant V the interior block is the Dirichlet Laplacian
     # plus V, which the interior DST inverts exactly
     V = np.full(grid.shape, PARAMS2.lam)
-    P = _block_preconditioner(grid, V)
+    P = _on_vectors(_block_preconditioner(grid, V), grid.shape)
     K = _packed_operator(grid, field_library("zero", dim=grid.dim), V)
     rng = np.random.default_rng(5)
-    u = np.zeros((2,) + grid.shape)
-    inner = (slice(None),) + (slice(1, -1),) * grid.dim
-    u[inner] = rng.standard_normal(u[inner].shape)
-    back = P(K(u.ravel())).reshape(u.shape)
+    u = np.zeros(grid.shape, dtype=complex)
+    inner = (slice(1, -1),) * grid.dim
+    u[inner] = rng.standard_normal(u[inner].shape) + 1j * rng.standard_normal(u[inner].shape)
+    back = _interleaved(P(K(_flattened(u))), grid.shape)
     assert np.max(np.abs(back[inner] - u[inner])) <= 1e-12 * np.max(np.abs(u))
+
+
+@pytest.mark.parametrize("dim, n", [(2, 17), (3, 9)])
+def test_poisson_solver_on_complex_field_is_its_parts(dim, n):
+    # the minimizer preconditions complex fields whole: the transforms act on
+    # Re and Im separately, so only the division by the eigenvalues may round
+    grid = Grid(4.0, n, dim=dim)
+    solve = _poisson_solver(grid, np.full(grid.shape, PARAMS2.lam))
+    rng = np.random.default_rng(17)
+    z = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    whole, parts = solve(z), solve(z.real) + 1j * solve(z.imag)
+    assert np.max(np.abs(whole - parts)) <= 1e-14 * np.max(np.abs(parts))
 
 
 NEWTON_FIELDS = [
@@ -632,11 +656,10 @@ NEWTON_FIELDS = [
 
 
 def _packed_newton_operator(grid, A, V, u, p):
-    """The Newton matvec as pack(op(unpack(x))): ``_packed_operator`` minus the
+    """The Newton matvec written out on interleaved vectors: ``_packed_operator`` minus the
     packed derivative of |u|^{p-2} u, sqrt(W) (|u|^{p-2} z + (p-2)|u|^{p-4} u Re(conj(u) z))."""
     lin = _packed_operator(grid, A, V)
     sqw = np.sqrt(grid.weights())
-    size = sqw.size
     s = np.abs(u)
     sp2 = s ** (p - 2.0)
     sp4u = np.zeros_like(u)
@@ -644,18 +667,36 @@ def _packed_newton_operator(grid, A, V, u, p):
     sp4u[mask] = (p - 2.0) * s[mask] ** (p - 3.0) * (u[mask] / s[mask])
 
     def apply(x):
-        z = (x[:size] + 1j * x[size:]).reshape(grid.shape) / sqw
+        z = _interleaved(x, grid.shape) / sqw
         nl = sqw * (sp2 * z + sp4u * np.real(np.conj(u) * z))
-        return lin(x) - np.concatenate((nl.real.ravel(), nl.imag.ravel()))
+        return lin(x) - _flattened(nl)
 
     return apply
 
 
+class _Captured(Exception):
+    pass
+
+
+def _minres_operators(monkeypatch, A, params, grid, u):
+    """The operator and preconditioner ``critical_point_search`` hands MINRES at its first step from u."""
+
+    def capture(Aop, b, **kwargs):
+        raise _Captured(Aop, kwargs["M"])
+
+    with monkeypatch.context() as patched:
+        patched.setattr(solver, "minres", capture)
+        with pytest.raises(_Captured) as caught:
+            critical_point_search(A, params, ComplexField(grid, u))
+    return caught.value.args
+
+
 @pytest.mark.parametrize("grid", PRECOND_GRIDS, ids=["2d", "3d"])
 @pytest.mark.parametrize("tag, kwargs", NEWTON_FIELDS)
-def test_stacked_newton_operator_matches_packed_form(grid, tag, kwargs):
-    # the matvec MINRES calls, against the packed form it replaced, at a
-    # seed, a Newton iterate and a random field; and it is symmetric
+def test_stacked_newton_operator_matches_packed_form(grid, tag, kwargs, monkeypatch):
+    # the matvec MINRES calls, against the form written out entry by entry on
+    # interleaved vectors, at a seed, a Newton iterate and a random field; and
+    # it is symmetric
     A = field_library(tag, dim=grid.dim, **kwargs)
     params = FunctionalParams(p=4.0, lam=1.0, dim=grid.dim)
     V = np.full(grid.shape, params.lam)
@@ -665,15 +706,18 @@ def test_stacked_newton_operator_matches_packed_form(grid, tag, kwargs):
     rng = np.random.default_rng(3)
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     size = 2 * W.size
+    P = _on_vectors(_block_preconditioner(grid, V), grid.shape)
     for u in (seed.values, iterate.values, noise):
-        K = _stacked(_linearized_operator(u, prepare_potential(A, grid), V, params.p, W), np.sqrt(W))
+        Aop, M = _minres_operators(monkeypatch, A, params, grid, u)
+        K = Aop.matvec
         ref = _packed_newton_operator(grid, A, V, u, params.p)
         vecs = [rng.standard_normal(size) for _ in range(3)]
+        assert all(np.array_equal(M.matvec(x), P(x)) for x in vecs)
         first = K(vecs[0])
         for x in vecs:
             want = ref(x)
             assert np.max(np.abs(K(x) - want)) <= 1e-13 * np.max(np.abs(want))
-        # each call returns a fresh vector: the work array is not handed out
+        # each call returns a fresh vector: no buffer is handed out twice
         assert np.array_equal(first, K(vecs[0]))
         for x, y in zip(vecs, vecs[1:]):
             kxy, xky = float(np.dot(K(x), y)), float(np.dot(x, K(y)))
