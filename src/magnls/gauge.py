@@ -52,41 +52,45 @@ QUAD_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
-# Adaptive Simpson quadrature, vectorized over slice batches
+# Adaptive Simpson quadrature, vectorized over segments and slice batches
 # ---------------------------------------------------------------------------
 
-def _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if float(np.max(np.abs(delta))) <= 15.0 * tol or depth <= 0:
-        if depth <= 0 and float(np.max(np.abs(delta))) > 15.0 * tol:
+def _simpson(f, a, b, fa, fm, fb):
+    """Adaptive Simpson integrals over the segments [a_i, b_i], one integrand row each.
+
+    ``f`` maps abscissae to their integrand rows; ``fa``, ``fm``, ``fb`` are
+    the rows at the segments' ends and midpoints.  Each level halves exactly
+    the segments whose worst residual over their row exceeds 15 tol, with tol
+    ``QUAD_TOL`` halved per level, and sums each split segment's halves, so
+    every bit is that of one recursive adaptive Simpson per segment.  A
+    segment still above tol after 40 halvings raises ``QuadratureError``.
+    """
+    whole = ((b - a) / 6.0)[:, None] * (fa + 4.0 * fm + fb)
+    levels = []  # per level: the segments' integrals and which of them were halved
+    for level, tol in enumerate(QUAD_TOL * 0.5 ** np.arange(41)):
+        m = 0.5 * (a + b)
+        flm, frm = f(0.5 * (a + m)), f(0.5 * (m + b))
+        left = ((m - a) / 6.0)[:, None] * (fa + 4.0 * flm + fm)
+        right = ((b - m) / 6.0)[:, None] * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        worst = np.max(np.abs(delta), axis=1)
+        split = worst > 15.0 * tol
+        levels.append((left + right + delta / 15.0, split))
+        if not split.any():
+            break
+        if level == 40:
+            i = np.nanargmax(worst)
             raise QuadratureError(
-                f"segment [{a:.6g}, {b:.6g}] did not converge; worst residual "
-                f"{float(np.max(np.abs(delta))):.3e} at tolerance {tol:.3e}"
+                f"segment [{a[i]:.6g}, {b[i]:.6g}] did not converge; worst residual "
+                f"{worst[i]:.3e} at tolerance {tol:.3e}"
             )
-        return left + right + delta / 15.0
-    return _adaptive_segment(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_segment(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
-
-
-def _adaptive_simpson(f, a: float, b: float):
-    """Integral of a (possibly array-valued) integrand from a to b to ``QUAD_TOL``, at most 40 bisections deep."""
-    if a == b:
-        return np.zeros_like(np.asarray(f(a), dtype=float))
-    if b < a:
-        return -_adaptive_simpson(f, b, a)
-    fa = np.asarray(f(a), dtype=float)
-    fm = np.asarray(f(0.5 * (a + b)), dtype=float)
-    fb = np.asarray(f(b), dtype=float)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _adaptive_segment(f, a, b, fa, fm, fb, whole, QUAD_TOL, 40)
+        # the left halves of the split segments, then their right halves
+        pairs = ((a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right))
+        a, b, fa, fm, fb, whole = (np.concatenate([x[split], y[split]]) for x, y in pairs)
+    # deepest level first, each split segment takes the sum of its two halves
+    for (parent, split), (halves, _) in reversed(list(zip(levels, levels[1:]))):
+        parent[split] = halves[: len(halves) // 2] + halves[len(halves) // 2 :]
+    return levels[0][0]
 
 
 def _line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndarray:
@@ -94,23 +98,29 @@ def _line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndar
 
     The integration axis is m = len(head) + 1.  ``head`` holds axes 1..m-1:
     singletons [y_j] pin the staircase coordinates, full axes span a table.
-    ``tail`` holds axes m+1..N.  The mesh is built once; each evaluation only
-    rewrites the t column, so ``integrand`` must return a fresh array.  The
-    result has shape (*head, len(axis_values), *tail).
+    ``tail`` holds axes m+1..N.  The pieces start -> first abscissa and
+    abscissa -> abscissa go through one ``_simpson`` pass as the rows of one
+    array, each to ``QUAD_TOL`` and at most 40 bisections deep.  Every piece
+    end is evaluated once; a backwards first piece is integrated forwards
+    and negated.  The result is C-contiguous with shape
+    (*head, len(axis_values), *tail).
     """
     m = len(head) + 1
-    pts = _mesh_points([*head, np.zeros(1), *tail])
+    t = np.concatenate([[start], axis_values])  # piece k runs from t[k] to t[k + 1]
+    lo, hi = np.arange(len(t) - 1), np.arange(1, len(t))  # each piece's lower and upper end in t
+    if t[0] > t[1]:
+        lo[0], hi[0] = 1, 0
 
-    def f(t):
-        pts[..., m - 1] = t
-        return integrand(pts)
+    def f(x):
+        # the reshape copies a strided component out of the full evaluation, which is then freed
+        return np.moveaxis(integrand(_mesh_points([*head, x, *tail])), m - 1, 0).reshape(len(x), -1)
 
-    acc = _adaptive_simpson(f, start, float(axis_values[0]))
-    out = [acc]
-    for lo, hi in zip(axis_values[:-1], axis_values[1:]):
-        acc = acc + _adaptive_simpson(f, float(lo), float(hi))
-        out.append(acc)
-    return np.concatenate(out, axis=m - 1)
+    fa, fb = f(t)[np.stack([lo, hi])]
+    pieces = _simpson(f, t[lo], t[hi], fa, f(0.5 * (t[lo] + t[hi])), fb)
+    if t[0] > t[1]:
+        pieces[0] = -pieces[0]
+    sums = np.cumsum(pieces, axis=0).reshape((len(pieces),) + tuple(len(ax) for ax in [*head, *tail]))
+    return np.ascontiguousarray(np.moveaxis(sums, 0, m - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -475,7 +475,10 @@ def condition_report(
     the threshold, which raises ``RuntimeError``.  ||B||_inf is sampled at 129
     points per axis of the window.  Vanishing at infinity is evidenced by the
     corrected potential along diverging probe trajectories, at distances
-    R0 + 4k (k = 1..4) along each axis with R0 = 6 decay lengths.
+    R0 + 4k (k = 1..4) along each axis with R0 = 6 decay lengths: each
+    moving-frame sample A_y(. + y) is taken on ``grid``, ``Grid(2.0, 9)``
+    (9 nodes per axis over [-2, 2]^N) when none is given.  The CLI passes
+    its own ``--L``/``--n`` grid, 129^2 over [-8, 8]^2 by default in 2-D.
     """
     if gs.p != params.p or gs.lam != params.lam:
         raise ValueError("ground state computed for different (p, lam) than params")

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magnls.calculus import FunctionalParams, Grid, bump, energy_EA, prepare_potential
-from magnls.field import PotentialField, curl, curl_of_samples, field_library
+from magnls.field import PotentialField, _mesh_points, curl, curl_of_samples, field_library
 from magnls.gauge import (
     MassLossError,
+    QUAD_TOL,
     QuadratureError,
+    _line_integrals,
     _phase_values,
     composition_constant,
     corrected_potential,
@@ -556,6 +560,170 @@ def test_composition_constant_rejects_empty_overlap(y1, y2):
     # a move by y2 or by -y1 past the window leaves no node to average over
     with pytest.raises(ValueError, match="keeps no node"):
         composition_constant(field_library("landau", b=1.0), y1, y2, GRID)
+
+
+# ---------------------------------------------------------------------------
+# Line integrals against the per-piece reference
+# ---------------------------------------------------------------------------
+
+# The per-piece quadrature the one-pass ``_line_integrals`` replaced, kept as
+# it was: one scalar adaptive-Simpson call per piece on one shared mesh.
+
+def _adaptive_segment(f, a, b, fa, fm, fb, whole, tol, depth):
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = f(lm)
+    frm = f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    if float(np.max(np.abs(delta))) <= 15.0 * tol or depth <= 0:
+        if depth <= 0 and float(np.max(np.abs(delta))) > 15.0 * tol:
+            raise QuadratureError(
+                f"segment [{a:.6g}, {b:.6g}] did not converge; worst residual "
+                f"{float(np.max(np.abs(delta))):.3e} at tolerance {tol:.3e}"
+            )
+        return left + right + delta / 15.0
+    return _adaptive_segment(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive_segment(
+        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
+    )
+
+
+def _adaptive_simpson(f, a: float, b: float):
+    """Integral of a (possibly array-valued) integrand from a to b to ``QUAD_TOL``, at most 40 bisections deep."""
+    if a == b:
+        return np.zeros_like(np.asarray(f(a), dtype=float))
+    if b < a:
+        return -_adaptive_simpson(f, b, a)
+    fa = np.asarray(f(a), dtype=float)
+    fm = np.asarray(f(0.5 * (a + b)), dtype=float)
+    fb = np.asarray(f(b), dtype=float)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return _adaptive_segment(f, a, b, fa, fm, fb, whole, QUAD_TOL, 40)
+
+
+def _per_piece_line_integrals(integrand, head, axis_values, tail, start: float) -> np.ndarray:
+    m = len(head) + 1
+    pts = _mesh_points([*head, np.zeros(1), *tail])
+
+    def f(t):
+        pts[..., m - 1] = t
+        return integrand(pts)
+
+    acc = _adaptive_simpson(f, start, float(axis_values[0]))
+    out = [acc]
+    for lo, hi in zip(axis_values[:-1], axis_values[1:]):
+        acc = acc + _adaptive_simpson(f, float(lo), float(hi))
+        out.append(acc)
+    return np.concatenate(out, axis=m - 1)
+
+
+def _integrands(A):
+    """(m, integrand) pairs: A_m for the phases, d_n A_m for the corrected potentials."""
+    dim = A.dim
+    pairs = [(m, lambda pts, m=m: A(pts)[..., m - 1]) for m in range(1, dim + 1)]
+    pairs += [
+        (m, lambda pts, m=m, n=n: A.jacobian(pts)[..., m - 1, n - 1])
+        for m in range(1, dim + 1)
+        for n in range(1, dim + 1)
+    ]
+    return pairs
+
+
+def _assert_line_integrals_match(integrand, head, axis_values, tail, start):
+    got = _line_integrals(integrand, head, axis_values, tail, start)
+    ref = _per_piece_line_integrals(integrand, head, axis_values, tail, start)
+    assert got.flags.c_contiguous
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _gauss_1d(s):
+    def ev(p):
+        return np.exp(-((p / s) ** 2))
+
+    def jac(p):
+        return (-2.0 * p / s**2 * np.exp(-((p / s) ** 2)))[..., None]
+
+    return PotentialField(1, ev, jac, tag="custom")
+
+
+LINE_CASES = [
+    (field_library("zero", dim=1), Grid(2.0, 9)),
+    (_gauss_1d(0.05), Grid(1.0, 9)),
+    (field_library("landau", b=0.7), Grid(2.0, 9, dim=2)),
+    (field_library("symmetric", b=-1.3), Grid(2.0, 9, dim=2)),
+    (field_library("gaussian_decay", b0=0.5, s=1.0), Grid(2.0, 9, dim=2)),
+    (field_library("gaussian_decay", b0=0.8, s=0.05), Grid(1.0, 7, dim=2)),
+    (field_library("lattice_periodic", b=0.9, period=1.5), Grid(2.0, 9, dim=2)),
+    (field_library("landau", b=0.4, dim=3), Grid((1.5, 1.0, 1.5), (5, 5, 7))),
+    (field_library("symmetric", b=0.6, dim=3), Grid(1.5, 5, dim=3)),
+    (field_library("gaussian_decay", b0=0.5, s=0.7, dim=3), Grid(1.5, 5, dim=3)),
+    (field_library("gaussian_decay", b0=0.8, s=0.05, dim=3), Grid(0.5, 5, dim=3)),
+    (field_library("lattice_periodic", b=0.5, period=1.0, dim=3), Grid(1.5, 5, dim=3)),
+]
+
+
+@pytest.mark.parametrize("A, grid", LINE_CASES, ids=[f"{A.tag}-{A.dim}d-{g.n}" for A, g in LINE_CASES])
+def test_line_integrals_match_per_piece_reference(A, grid):
+    # every phase and jacobian integrand, staircase (singleton) and table
+    # (full-axis) heads, and starts below, inside, above and at the first
+    # abscissa: a forward, a backwards, a long backwards and an empty first piece
+    axes = grid.axes
+    y = np.array([0.02, -0.03, 0.01][: grid.dim])  # near the s = 0.05 bumps, which then refine deeply
+    for m, integrand in _integrands(A):
+        ax = axes[m - 1]
+        span = ax[-1] - ax[0]
+        for head in ([np.array([yi]) for yi in y[: m - 1]], axes[: m - 1]):
+            for start in (ax[0] - 0.37 * span, ax[0] + 0.3 * span, ax[-1] + 0.21 * span, ax[0]):
+                _assert_line_integrals_match(integrand, head, ax, axes[m:], float(start))
+
+
+def test_line_integrals_refine_some_pieces_deeply_and_others_not():
+    # on the coarse grid the s = 0.05 bump makes the reference bisect the
+    # pieces next to it several levels deep and accept the others at once
+    A = field_library("gaussian_decay", b0=0.8, s=0.05)
+    ax = Grid(1.0, 7).axes[0]
+
+    def evaluations(lo, hi):
+        ts = []
+        _adaptive_simpson(lambda t: ts.append(t) or A(np.array([[0.0, t]]))[..., 1], lo, hi)
+        return len(ts)
+
+    counts = [evaluations(lo, hi) for lo, hi in zip(ax[:-1], ax[1:])]
+    assert min(counts) == 5  # the ends, the midpoint and one unrefined halving
+    assert max(counts) >= 5 + 2 * (2 + 4)  # three more levels, fully bisected
+    _assert_line_integrals_match(lambda pts: A(pts)[..., 1], [np.array([0.0])], ax, [], float(ax[0]))
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_line_integrals_match_per_piece_reference_on_drawn_grids(data):
+    dim = data.draw(st.sampled_from((1, 2, 3)))
+    n = [2 * data.draw(st.integers(1, 5)) + 1 for _ in range(dim)]
+    L = [data.draw(st.floats(0.25, 3.0)) for _ in range(dim)]
+    grid = Grid(L, n, dim=dim)
+    if dim == 1:
+        A = _gauss_1d(data.draw(st.floats(0.05, 2.0)))
+    else:
+        params = {
+            "landau": {"b": 0.7},
+            "symmetric": {"b": 0.7},
+            "gaussian_decay": {"b0": 0.6, "s": data.draw(st.floats(0.05, 2.0))},
+            "lattice_periodic": {"b": 0.7, "period": 1.3},
+        }
+        tag = data.draw(st.sampled_from(sorted(params)))
+        A = field_library(tag, dim=dim, **params[tag])
+    m, integrand = data.draw(st.sampled_from(_integrands(A)))
+    axes = grid.axes
+    ax = axes[m - 1]
+    if data.draw(st.booleans()):
+        head = axes[: m - 1]
+    else:
+        head = [np.array([data.draw(st.floats(-2.0, 2.0))]) for _ in range(m - 1)]
+    start = data.draw(st.one_of(st.sampled_from(ax.tolist()), st.floats(-2.0 * L[m - 1], 2.0 * L[m - 1])))
+    _assert_line_integrals_match(integrand, head, ax, axes[m:], start)
 
 
 def test_quadrature_error_carries_worst_segment():
