@@ -6,16 +6,17 @@ inequality verifiers use the staggered covariant derivative
 
     (S_m u)[midpoint] = a_m u_+ - b_m u_-,  a_m = 1/h_m + i A_m(midpoint)/2,  b_m = conj(a_m),
 
-second-order accurate at cell midpoints; ``PreparedPotential`` builds these
-edge coefficients once.  Since b_m = conj(a_m), the diamagnetic and sandwich
-inequalities hold edge by edge as exact algebra.  The magnetic Laplacian is
-the quadrature-weighted adjoint composition sum_m S_m^* S_m, applied as the
-2 dim + 1 point stencil derived from the same coefficients.  So the energy
-identity <S^* S u, u> = E_A(u) holds to rounding on the grid, the quadratic
-form is positive on compactly supported data, and the stencil stays compact
-(a naive composition of centered differences decouples the even and odd
-sublattices and admits spurious zero-energy checkerboard modes, which breaks
-constrained minimization).
+second-order accurate at cell midpoints; ``PreparedPotential`` builds the
+coefficients a_m once, and b_m is taken as conj(a_m) where it is used.  So
+the diamagnetic and sandwich inequalities hold edge by edge as exact
+algebra.  The magnetic Laplacian is the quadrature-weighted adjoint
+composition sum_m S_m^* S_m, applied as the 2 dim + 1 point stencil derived
+from the same coefficients.  So the energy identity <S^* S u, u> = E_A(u)
+holds to rounding on the grid, the quadratic form is positive on compactly
+supported data, and the stencil stays compact (a naive composition of
+centered differences decouples the even and odd sublattices and admits
+spurious zero-energy checkerboard modes, which breaks constrained
+minimization).
 """
 
 from dataclasses import dataclass
@@ -252,20 +253,20 @@ def _midpoint_axes(grid: Grid, m: int) -> list:
 
 
 class PreparedPotential:
-    """The edge coefficients a = 1/h + i A(mid)/2 and b = conj(a) of S for one potential on one grid.
+    """The edge coefficients a = 1/h + i A(mid)/2 of S for one potential on one grid.
 
-    Prepare once and reuse inside iteration loops; all calculus operators
-    accept a PotentialField, raw node samples (dim, *shape), or this.
+    The coefficient b = conj(a) of u_- is not stored: it is taken as
+    ``np.conj(a)`` where it is used.  Prepare once and reuse inside iteration
+    loops; all calculus operators accept a PotentialField, raw node samples
+    (dim, *shape), or this.
     """
 
     def __init__(self, grid: Grid, edge_A: list):
         self.grid = grid
-        # S_m u = a_m u_+ - b_m u_- on the n_m + 1 axis-m edges (the outer two
-        # reach the zero ghosts); edge_A[m] is component m at their midpoints.
-        # The line for a is the only one that knows the edge rule.  b = conj(a)
-        # is stored: taking it in every apply slows the landscape scan.
+        # S_m u = a_m u_+ - conj(a_m) u_- on the n_m + 1 axis-m edges (the outer
+        # two reach the zero ghosts); edge_A[m] is component m at their
+        # midpoints.  This line is the only one that knows the edge rule.
         self.a = [1.0 / h + 0.5j * Am for h, Am in zip(grid.h, edge_A)]
-        self.b = [np.conj(a) for a in self.a]
 
     @cached_property
     def stencil(self):
@@ -273,7 +274,7 @@ class PreparedPotential:
 
         With edge j between nodes j-1 and j, row j along axis m reads
         ((M|a|^2)_j + (M|b|^2)_{j+1}) u_j - c_{j+1} u_{j+1} - conj(c_j) u_{j-1},
-        c = M conj(b) a = M a^2 on the n_m - 1 interior edges.
+        b = conj(a) and c = M conj(b) a = M a^2 on the n_m - 1 interior edges.
         """
         grid = self.grid
         diag = np.zeros(grid.shape)
@@ -304,8 +305,13 @@ def prepare_potential(A, grid: Grid) -> "PreparedPotential":
     return PreparedPotential(grid, [_edge_mean(comp, m, "edge") for m, comp in enumerate(arr)])
 
 
+def _free(grid: Grid) -> "PreparedPotential":
+    """The zero field prepared for ``grid``: zero samples on every axis's edge-midpoint mesh."""
+    return PreparedPotential(grid, [np.zeros(_mid_measure(grid, m).shape) for m in range(grid.dim)])
+
+
 def staggered_gradient(u: ComplexField, A) -> list:
-    """Per-axis midpoint values a_m u_+ - b_m u_- of the covariant derivative (axis m has n+1 entries)."""
+    """Per-axis midpoint values a_m u_+ - conj(a_m) u_- of the covariant derivative (axis m has n+1 entries)."""
     return _edge_values(u.values, prepare_potential(A, u.grid))
 
 
@@ -313,11 +319,11 @@ def _edge_values(vals: np.ndarray, prep: "PreparedPotential") -> list:
     """``staggered_gradient`` on raw node values."""
     dim = prep.grid.dim
     out = []
-    for m, (a, b) in enumerate(zip(prep.a, prep.b)):
+    for m, a in enumerate(prep.a):
         lo, hi = _along(dim, m, slice(0, -1)), _along(dim, m, slice(1, None))
         G = np.zeros(a.shape, dtype=complex)
         np.multiply(a[lo], vals, out=G[lo])
-        G[hi] -= b[hi] * vals
+        G[hi] -= np.conj(a[hi]) * vals
         out.append(G)
     return out
 
@@ -436,8 +442,7 @@ def diamagnetic_check(u: ComplexField, A) -> dict:
     """
     grid = u.grid
     G = staggered_gradient(u, A)
-    zero = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid)
-    Gmod = _edge_values(np.abs(u.values), zero)
+    Gmod = _edge_values(np.abs(u.values), _free(grid))
     margin = np.concatenate([(np.abs(g) - np.abs(g0)).ravel() for g, g0 in zip(G, Gmod)])
     return {
         "min_margin": float(np.min(margin)),
@@ -458,7 +463,7 @@ def pointwise_bounds_check(u: ComplexField, A) -> dict:
     """
     grid = u.grid
     prep = prepare_potential(A, grid)
-    zero = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid)
+    zero = _free(grid)
     s1 = s2 = np.inf
     edges = zip(grid.h, prep.a, _edge_values(u.values, prep), _edge_values(u.values, zero))
     for m, (h, a, gA, g0) in enumerate(edges):

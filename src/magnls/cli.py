@@ -3,8 +3,9 @@
 Every run writes a manifest echoing the resolved configuration next to its
 CSV/JSON outputs, and identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 validation error or an operating-system error on
-an input or output path (one ``error:`` line on stderr), 2 numerical failure
-(with a diagnostic report still written).
+an input or output path (one ``error:`` line on stderr), 2 numerical failure:
+any ``RuntimeError``, mass loss of a shift included (with a diagnostic report
+still written).
 """
 
 import argparse
@@ -27,8 +28,7 @@ from .calculus import (
 from .field import _read_spec, curl, curl_of_samples, parse_field_spec
 from .gauge import (
     QUAD_TOL,
-    MassLossError,
-    QuadratureError,
+    VANISHING_TOL,
     corrected_potential,
     corrected_potential_samples,
     linear_bound_check,
@@ -45,7 +45,6 @@ from .profiles import (
 )
 from .solver import (
     NEHARI_TOL,
-    DivergenceError,
     check_ray_box,
     condition_report,
     critical_point_search,
@@ -188,7 +187,7 @@ def _run_gauge(args) -> int:
         "base_point": y.tolist(),
         "normalization": args.normalization,
         "quad_tol": QUAD_TOL,
-        "max_bound_violation": {"value": bound["max_violation"], "tol": 1e-8},
+        "max_bound_violation": {"value": bound["max_violation"], "tol": bound["tol"]},
         "curl_error": {"value": curl_err, "note": "finite-difference curl of A_y vs analytic curl of A"},
         "slab_error": {"value": slab_err, "tol": 1e-8},
         "grid": mio.grid_header(grid),
@@ -232,7 +231,7 @@ def _run_conditions(args) -> int:
     gs = radial_ground_state(args.dim, args.p, args.lam)
     rep = condition_report(A, gs, params, window=max(grid.extents), grid=grid, lambda0=True)
     doc = asdict(rep)
-    doc["tolerances"] = {"vanishing_at_infinity": 1e-6}
+    doc["tolerances"] = {"vanishing_at_infinity": VANISHING_TOL}
     mio.write_json(doc, os.path.join(out, "conditions.json"))
     _manifest(args, out)
     return 0
@@ -426,7 +425,7 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (QuadratureError, MassLossError, DivergenceError, RuntimeError) as exc:
+    except RuntimeError as exc:
         out = _outdir(args)
         mio.write_json({"failure": str(exc), "type": type(exc).__name__}, os.path.join(out, "diagnostic.json"))
         _manifest(args, out)

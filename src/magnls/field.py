@@ -97,8 +97,16 @@ def _normalize_window(window, dim: int):
 
 
 def _mesh_points(axes) -> np.ndarray:
-    """Tensor mesh of ``axes`` as a (*shape, N) point array; a singleton axis pins its coordinate."""
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    """Tensor mesh of ``axes`` as a (*shape, N) point array; a singleton axis pins its coordinate.
+
+    Each coordinate is written once into one array; the bytes and dtype are
+    those of ``np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)``.
+    """
+    axes = [np.ravel(ax) for ax in axes]
+    out = np.empty(tuple(len(ax) for ax in axes) + (len(axes),), dtype=np.result_type(*axes))
+    for i, ax in enumerate(axes):
+        out[..., i] = ax.reshape((-1,) + (1,) * (len(axes) - 1 - i))
+    return out
 
 
 def _along(ndim: int, axis: int, index) -> tuple:

@@ -24,6 +24,7 @@ __all__ = [
     "QuadratureError",
     "MassLossError",
     "QUAD_TOL",
+    "VANISHING_TOL",
     "rephase_field",
     "corrected_potential",
     "corrected_potential_samples",
@@ -42,13 +43,18 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to converge within the subdivision budget."""
 
 
-class MassLossError(ValueError):
+class MassLossError(RuntimeError):
     """Too much of |u|^2 would be shifted out of the window."""
 
 
 # Per-segment tolerance of the adaptive Simpson quadrature behind every line
 # integral of A: phases, phase tables and corrected potentials.
 QUAD_TOL = 1e-10
+
+# A potential at infinity counts as reached when consecutive moving-frame
+# samples A_y(. + y) differ by at most this in sup norm, and as vanishing
+# when its last sample is below it.
+VANISHING_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +340,10 @@ def linear_bound_check(Ay: CorrectedPotential, B: TwoForm) -> dict:
     """Verify |A_y(x)| <= ||B||_inf |x - y| nodewise, plus the componentwise form.
 
     Violations are reported, never thrown; a correct construction keeps the
-    worst violation at quadrature-floor level.
+    worst violation at quadrature-floor level.  ``violating_nodes`` counts
+    the nodes whose violation exceeds the returned ``tol`` (1e-8).
     """
+    tol = 1e-8
     grid = Ay.grid
     y = Ay.base_point
     pts = grid.nodes()
@@ -353,8 +361,9 @@ def linear_bound_check(Ay: CorrectedPotential, B: TwoForm) -> dict:
         "b_sup_norm": bnorm,
         "max_violation": float(np.max(violation)),
         "max_violation_componentwise": comp_violation,
-        "violating_nodes": int(np.sum(violation > 1e-8)),
+        "violating_nodes": int(np.sum(violation > tol)),
         "nodes": int(np.prod(grid.shape)),
+        "tol": tol,
     }
 
 
@@ -498,9 +507,8 @@ def potential_at_infinity(A: PotentialField, trajectory, window: Grid):
 
     Returns the last sample together with a convergence report on the
     sup-distances between consecutive tail samples; the trajectory counts as
-    converged when the last distance is at most 1e-6.
+    converged when the last distance is at most ``VANISHING_TOL``.
     """
-    tol = 1e-6
     traj = [np.atleast_1d(np.asarray(y, dtype=float)) for y in trajectory]
     if len(traj) < 2:
         raise ValueError("trajectory needs at least two points")
@@ -511,8 +519,8 @@ def potential_at_infinity(A: PotentialField, trajectory, window: Grid):
     distances = [float(np.max(np.abs(b - a))) for a, b in zip(samples[:-1], samples[1:])]
     report = {
         "distances": distances,
-        "converged": bool(distances[-1] <= tol),
-        "tol": tol,
+        "converged": bool(distances[-1] <= VANISHING_TOL),
+        "tol": VANISHING_TOL,
         "sup_last": float(np.max(np.abs(samples[-1]))),
     }
     return samples[-1], report

@@ -17,13 +17,14 @@ from .calculus import (
     BOUNDARY_MASS_TOL,
     ComplexField,
     Grid,
+    _free,
     _whole,
     bump,
     energy_EA,
     lp_norm,
     prepare_potential,
 )
-from .field import PotentialField, field_library
+from .field import PotentialField, _mesh_points, field_library
 from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert, shifted_corrected_samples
 
 __all__ = [
@@ -71,11 +72,11 @@ class Discretization:
             raise ValueError(f"lattice spacing {rho} is not a positive multiple of grid spacing {grid.h}")
         rho_cover = rho * float(np.sqrt(grid.dim)) / 2.0 + 1e-12
         ranges = [np.arange(-int(np.floor(L / rho)), int(np.floor(L / rho)) + 1) for L in grid.extents]
-        ks = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+        ks = _mesh_points(ranges).reshape(-1, grid.dim)
         h = np.asarray(grid.h)
         pad = tuple(int(np.floor(rho_cover / hi)) for hi in h)
         reach = [np.arange(-r, r + 1) for r in pad]
-        offsets = np.stack(np.meshgrid(*reach, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+        offsets = _mesh_points(reach).reshape(-1, grid.dim)
         offsets = offsets[np.sum((offsets * h) ** 2, axis=1) <= rho_cover**2]
         centers = grid.node_index(ks * np.asarray(ms)) + np.asarray(pad)
         nodes = centers[:, None, :] + offsets[None, :, :]
@@ -118,8 +119,7 @@ def covering_chain_ratio(u: ComplexField, xi: Discretization, p: float) -> float
     scan = local_mass_sup(u, xi, p)
     if scan["value"] == 0.0:
         return 0.0
-    zero = np.zeros((u.grid.dim,) + u.grid.shape)
-    h_norm2 = energy_EA(u, zero) + lp_norm(u, 2.0) ** 2
+    h_norm2 = energy_EA(u, _free(u.grid)) + lp_norm(u, 2.0) ** 2
     return float(scan["total_mass"] / (xi.multiplicity_bound() * h_norm2 * scan["value"] ** (1.0 - 2.0 / p)))
 
 

@@ -35,11 +35,12 @@ from .calculus import (
     _edge_values,
     _eta_kernels,
     _eta_sums,
+    _free,
     _stencil_apply,
     _v_samples,
 )
-from .field import PotentialField, b_sup_norm, curl
-from .gauge import _moved, make_shift, potential_at_infinity, shift_apply
+from .field import PotentialField, _mesh_points, b_sup_norm, curl
+from .gauge import VANISHING_TOL, _moved, make_shift, potential_at_infinity, shift_apply
 
 __all__ = [
     "GroundState",
@@ -479,6 +480,8 @@ def condition_report(
     moving-frame sample A_y(. + y) is taken on ``grid``, ``Grid(2.0, 9)``
     (9 nodes per axis over [-2, 2]^N) when none is given.  The CLI passes
     its own ``--L``/``--n`` grid, 129^2 over [-8, 8]^2 by default in 2-D.
+    An axis vanishes when its samples converge and the last one stays below
+    ``gauge.VANISHING_TOL`` in sup norm.
     """
     if gs.p != params.p or gs.lam != params.lam:
         raise ValueError("ground state computed for different (p, lam) than params")
@@ -508,7 +511,7 @@ def condition_report(
         direction[axis] = 1.0
         traj = [direction * (R0 + 4.0 * k) for k in range(1, 5)]
         _, rep = potential_at_infinity(A, traj, probe_grid)
-        vanishes = rep["converged"] and rep["sup_last"] < 1e-6
+        vanishes = rep["converged"] and rep["sup_last"] < VANISHING_TOL
         evidence[f"axis_{axis}"] = {
             "distances": rep["distances"],
             "sup_last": rep["sup_last"],
@@ -681,7 +684,7 @@ def landscape_eval(
     p = params.p
     # the lattice vectors in the closed ball of radius R, in lexicographic order
     ranges = [np.arange(-int(np.floor(R / s)), int(np.floor(R / s)) + 1) * s for s in steps]
-    mesh = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    mesh = _mesh_points(ranges).reshape(-1, grid.dim)
     y_points = mesh[np.sqrt(np.sum(mesh**2, axis=1)) <= R + 1e-12]
     # the per-point arrays are gone on return, before the 129^dim curl
     # below, which sets peak memory in 3-D
@@ -864,8 +867,7 @@ def _block_preconditioner(grid: Grid, V: np.ndarray):
     from scipy.fft import dstn, idstn
 
     denom = _dst_denominator(tuple(n - 2 for n in grid.n), grid.h, V)
-    diag, _ = prepare_potential(np.zeros((grid.dim,) + grid.shape), grid).stencil
-    edge = diag / grid.weights() + _mass_shift(V)
+    edge = _free(grid).stencil[0] / grid.weights() + _mass_shift(V)
     inner = (slice(1, -1),) * grid.dim
 
     def solve(z):

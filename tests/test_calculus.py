@@ -21,6 +21,7 @@ from magnls.calculus import (
     pointwise_bounds_check,
     prepare_potential,
     staggered_gradient,
+    _free,
 )
 from magnls.field import PotentialField, field_library
 
@@ -461,7 +462,34 @@ def test_prepare_potential_node_samples_ghost_rule(shape):
     prep, expected = prepare_potential(arr, g), PreparedPotential(g, edge_A)
     for m in range(g.dim):
         assert np.array_equal(prep.a[m], expected.a[m])
-        assert np.array_equal(prep.b[m], np.conj(prep.a[m]))
+
+
+@pytest.mark.parametrize("g", [Grid(3.0, 7), Grid((4.0, 3.0), (9, 7)), Grid((4.0, 3.0, 2.0), (9, 7, 5))])
+def test_free_matches_prepared_zero_field(g):
+    # the one zero-field builder gives the coefficients a zero evaluator and
+    # zero node samples give, bit for bit
+    free = _free(g)
+    for A in (field_library("zero", dim=g.dim), np.zeros((g.dim,) + g.shape)):
+        prep = prepare_potential(A, g)
+        for m in range(g.dim):
+            assert free.a[m].dtype == prep.a[m].dtype
+            assert free.a[m].tobytes() == prep.a[m].tobytes()
+
+
+def test_staggered_gradient_matches_hand_built_edges():
+    # S_m u = a u_+ - conj(a) u_- with zero ghosts, bit for bit
+    g = Grid((4.0, 3.0), (9, 7))
+    A = field_library("symmetric", b=0.7, dim=2)
+    u = bump(g, center=(0.5, -0.3), width=0.9, wave=(0.4, -0.2))
+    prep = prepare_potential(A, g)
+    G = staggered_gradient(u, A)
+    for m in range(g.dim):
+        a = np.moveaxis(prep.a[m], m, 0)
+        v = np.moveaxis(u.values, m, 0)
+        ghost = np.zeros((1,) + v.shape[1:], dtype=complex)
+        plus, minus = np.concatenate((v, ghost)), np.concatenate((ghost, v))
+        expected = a * plus - np.conj(a) * minus
+        assert np.moveaxis(G[m], m, 0).tobytes() == expected.tobytes()
 
 
 def test_prepare_potential_samples_only_edge_midpoints():

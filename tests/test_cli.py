@@ -286,6 +286,18 @@ def test_numerical_failure_exits_2_with_diagnostic(tmp_path):
     assert os.path.exists(out / "manifest.json")
 
 
+def test_mass_loss_exits_2_with_diagnostic(tmp_path, capsys):
+    # R = 9 reaches lattice shifts that push most of w out of the 129^2 window
+    out = tmp_path / "m"
+    code = run(["landscape", "--field", "zero", "--R", "9", "--y-step", "3", "--out", str(out)])
+    assert code == 2
+    assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
+    doc = read_json(out / "diagnostic.json")
+    assert doc["type"] == "MassLossError"
+    assert "boundary-mass fraction" in doc["failure"]
+    assert "numerical failure" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [("landscape", "--R", v) for v in ("-1", "inf", "nan")]

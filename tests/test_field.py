@@ -3,6 +3,7 @@ import pytest
 
 from magnls.field import (
     PotentialField,
+    _mesh_points,
     b_sup_norm,
     curl,
     curl_of_samples,
@@ -196,3 +197,22 @@ def test_curl_of_samples_landau_exact():
     samples = np.moveaxis(A(grid.nodes()), -1, 0)
     B = curl_of_samples(samples, grid.h)
     assert np.allclose(B[(1, 2)], -1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "axes",
+    [
+        [np.linspace(-1.0, 1.0, 5)],
+        [np.linspace(-6.0, 6.0, 13), np.linspace(-2.0, 2.0, 7), np.linspace(0.0, 1.0, 4)],
+        [np.arange(-3, 4), np.arange(-2, 3)],
+        [np.array([0.5]), np.linspace(-1.0, 1.0, 9), np.array([-2.0])],
+        [np.arange(-2, 3), np.linspace(-1.0, 1.0, 3)],
+    ],
+)
+def test_mesh_points_matches_stacked_meshgrid(axes):
+    # float, int64, singleton and mixed-dtype axes: same bytes and dtype
+    mesh = _mesh_points(axes)
+    expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert mesh.dtype == expected.dtype
+    assert mesh.shape == expected.shape
+    assert mesh.tobytes() == expected.tobytes()
