@@ -113,8 +113,12 @@ class Grid:
         return cache[key]
 
     def nodes(self) -> np.ndarray:
-        """Coordinates of all nodes, shape (*shape, dim); cached."""
-        return self._cached("nodes", lambda: _mesh_points(self.axes))
+        """Coordinates of all nodes, shape (*shape, dim), built afresh on each call.
+
+        Not cached: no hot loop reads the mesh, and a cached one (6.3 MB at
+        65^3) would live through every later solve on the grid.
+        """
+        return _mesh_points(self.axes)
 
     def weights(self) -> np.ndarray:
         """Trapezoid quadrature weights, shape = grid shape; cached."""

@@ -4,8 +4,8 @@ Every run writes a manifest echoing the resolved configuration next to its
 CSV/JSON outputs, and identical configurations produce byte-identical files.
 Exit codes: 0 success, 1 validation error or an operating-system error on
 an input or output path (one ``error:`` line on stderr), 2 numerical failure:
-any ``RuntimeError``, mass loss of a shift included (with a diagnostic report
-still written).
+any ``RuntimeError``, mass loss of a shift included, or a ``MemoryError`` from
+a grid too large for memory (with a diagnostic report still written).
 """
 
 import argparse
@@ -29,6 +29,7 @@ from .field import _read_spec, curl, curl_of_samples, parse_field_spec
 from .gauge import (
     QUAD_TOL,
     VANISHING_TOL,
+    _drop_tables,
     corrected_potential,
     corrected_potential_samples,
     linear_bound_check,
@@ -273,12 +274,22 @@ def _run_landscape(args) -> int:
     return 0
 
 
+def _seed(land, gs, A, grid):
+    """The landscape's seed, with A's phase tables dropped: no shift is made after it.
+
+    ``_run_solve`` passes the result straight to the search and keeps no name
+    for it, so the search's own copy is the only one left.
+    """
+    seed = landscape_seed(land, gs, A, grid)
+    _drop_tables(A, grid)
+    return seed
+
+
 def _run_solve(args) -> int:
     _check_search_limits(args.tol, args.max_iters)
     out = _outdir(args)
     grid, A, params, gs, land = _surface(args)
-    seed = landscape_seed(land, gs, A, grid)
-    res = critical_point_search(A, params, seed, tol=args.tol, max_iters=args.max_iters, gs=gs)
+    res = critical_point_search(A, params, _seed(land, gs, A, grid), tol=args.tol, max_iters=args.max_iters, gs=gs)
     mio.field_to_csv(res.u, os.path.join(out, "u.csv"))
     mio.trace_to_csv(res.trace, os.path.join(out, "trace.csv"))
     doc = {
@@ -425,7 +436,7 @@ def run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:
         out = _outdir(args)
         mio.write_json({"failure": str(exc), "type": type(exc).__name__}, os.path.join(out, "diagnostic.json"))
         _manifest(args, out)

@@ -157,9 +157,9 @@ def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
 def _phase_tables(A: PotentialField, grid: Grid) -> list:
     """Per-axis cumulative integrals C_m(x) = int_{x_m^min}^{x_m} A_m(.., t, ..) dt on the grid.
 
-    Cached on the grid per field.  The cached value holds A, so
-    its id cannot be reused while the entry lives; a build that raises
-    caches nothing.
+    Cached on the grid per field until ``_drop_tables``.  The cached value
+    holds A, so its id cannot be reused while the entry lives; a build that
+    raises caches nothing.
     """
 
     def build():
@@ -181,6 +181,19 @@ def _first_axis_factor(A: PotentialField, grid: Grid) -> np.ndarray:
     Cached next to the phase tables; the cached value holds A, as theirs does.
     """
     return grid._cached(("first_axis_factor", id(A)), lambda: (A, np.exp(-1j * _phase_tables(A, grid)[0])))[1]
+
+
+def _drop_tables(A: PotentialField, grid: Grid) -> None:
+    """Forget the cached phase tables and first-axis factor of A on the grid.
+
+    Only ``make_shift`` reads them, yet the cache keeps them as long as the
+    grid lives: about 10.5 MB at 65^3, carried through a whole Newton search
+    on the same grid.  A caller done making shifts of A drops them here; a
+    later shift of A builds them again.
+    """
+    cache = getattr(grid, "_cache", {})
+    for kind in ("phase_tables", "first_axis_factor"):
+        cache.pop((kind, id(A)), None)
 
 
 def _split_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalization: str):

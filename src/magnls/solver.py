@@ -1084,6 +1084,15 @@ def critical_point_search(
     ``cpu_s`` for that command fell from 9.0 to 5.7 s, with ``wall_s`` at
     4.7 s on both sides (2-vCPU VM).  The search, and so the ``solve``
     artifacts, no longer depend on the BLAS thread count.
+
+    While MINRES runs, the search keeps only what that solve and its Newton
+    step read: u and its residual, the prepared potential, V, W and sqrt(W),
+    the preconditioner's tables and the linearized operator's local terms.
+    The gradient is formed after MINRES returns; a step's MINRES solution,
+    direction and line-search candidates live in ``newton_step`` and die with
+    it; the seed is copied once and not kept.  Kept alive instead, the
+    previous step's solution and direction and a gradient formed before
+    MINRES would be three complex arrays (13 MB at 65^3) in every solve.
     """
     _check_search_limits(tol, max_iters)
     grid = seed.grid
@@ -1111,15 +1120,8 @@ def critical_point_search(
 
     Mop = operator(_block_preconditioner(grid, Vvals))
 
-    u = seed.values.astype(complex).copy()
-    r_vals, r_norm = residual(u)
-    trace = [(level_of(u), r_norm)]
-    minres_info = []
-    converged = r_norm < tol
-    stalled = False
-    it = 0
-    while not converged and it < max_iters:
-        it += 1
+    def newton_step(u, r_vals, r_norm):
+        """MINRES's exit flag and the accepted ``(u, r_vals, r_norm)``, or None when the step stalls."""
         apply = _linearized_operator(u, Avals, Vvals, params.p, W)
 
         def scaled(z):  # the operator in the variables sqrt(W) z, where it is symmetric
@@ -1130,11 +1132,10 @@ def critical_point_search(
         # Newton direction J d = r via preconditioned MINRES; for symmetric J
         # the slope of 1/2 ||r||^2 along -d is -<Jr, J^{-1}r> = -||r||^2, so
         # the (inexactly solved) Newton step is a genuine descent direction
-        grad = apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
         forcing = min(1e-3, max(np.sqrt(r_norm), 1e-6))
         x, info = minres(operator(scaled), vector(r_vals * sqw), rtol=forcing, maxiter=inner_iters, M=Mop)
-        minres_info.append(int(info))
         d = nodes(x) / sqw
+        grad = apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
         slope = float(np.sum(W * np.real(np.conj(grad) * d)))
         gnorm2 = float(np.sum(W * np.abs(grad) ** 2))
         if not np.isfinite(slope) or slope <= 1e-10 * np.sqrt(gnorm2) * np.sqrt(
@@ -1143,20 +1144,33 @@ def critical_point_search(
             d = grad
             slope = gnorm2
             if slope <= 0:
-                stalled = True
-                break
+                return info, None
         phi0 = 0.5 * r_norm**2
         alpha = 1.0
         for _ in range(40):
             cand = u - alpha * d
             c_vals, c_norm = residual(cand)
             if 0.5 * c_norm**2 <= phi0 - 1e-4 * alpha * slope:
-                break
+                return info, (cand, c_vals, c_norm)
             alpha *= 0.5
-        else:
+        return info, None
+
+    u = np.array(seed.values, dtype=complex)
+    del seed  # the search keeps its one copy only
+    r_vals, r_norm = residual(u)
+    trace = [(level_of(u), r_norm)]
+    minres_info = []
+    converged = r_norm < tol
+    stalled = False
+    it = 0
+    while not converged and it < max_iters:
+        it += 1
+        info, step = newton_step(u, r_vals, r_norm)
+        minres_info.append(int(info))
+        if step is None:
             stalled = True
             break
-        u, r_vals, r_norm = cand, c_vals, c_norm
+        u, r_vals, r_norm = step
         trace.append((level_of(u), r_norm))
         converged = r_norm < tol
 

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,52 @@ def test_readme_solve_minres_matvecs(tmp_path, monkeypatch):
     assert doc["minres_unconverged"] == 0
 
 
+def test_readme_solve_minres_entry_memory_flat(tmp_path, monkeypatch):
+    # README solve case: what is allocated when MINRES starts stays flat over
+    # the Newton steps; the previous step's MINRES solution and direction,
+    # two complex arrays, must not outlive their step
+    entries = []
+    minres = solver.minres
+
+    def recorded(A, b, *args, **kwargs):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        return minres(A, b, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "minres", recorded)
+    tracemalloc.start()
+    try:
+        code = run([
+            "solve", "--field", "landau:b=0.5", "--dim", "2", "--p", "4", "--lambda", "1",
+            "--R", "2", "--T", "3", "--out", str(tmp_path / "s"),
+        ])
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(entries) == 4
+    one_field = 129**2 * np.dtype(complex).itemsize
+    assert all(abs(e - entries[0]) <= one_field for e in entries[1:]), entries
+
+
+def test_solve_hands_search_a_lean_grid(tmp_path, monkeypatch):
+    # no mesh and no phase table outlives the landscape into the search: only
+    # make_shift reads the tables, and nothing in the search reads the mesh
+    seen = []
+    search = cli.critical_point_search
+
+    def recorded(A, params, seed, **kwargs):
+        seen.append(set(getattr(seed.grid, "_cache", {})))
+        return search(A, params, seed, **kwargs)
+
+    monkeypatch.setattr(cli, "critical_point_search", recorded)
+    run([
+        "solve", "--field", "landau:b=0.5", "--dim", "2", "--p", "4", "--lambda", "1",
+        "--R", "1", "--T", "3", "--max-iters", "0", "--out", str(tmp_path / "s"),
+    ])
+    (keys,) = seen
+    assert "nodes" not in keys
+    assert not [k for k in keys if isinstance(k, tuple) and k[0] in ("phase_tables", "first_axis_factor")]
+
+
 def test_readme_solve_artifacts_independent_of_blas_threads(tmp_path):
     # MINRES takes its inner products in one thread, so the README solve
     # case writes the same bytes under one OpenBLAS thread and under the
@@ -295,6 +342,22 @@ def test_mass_loss_exits_2_with_diagnostic(tmp_path, capsys):
     doc = read_json(out / "diagnostic.json")
     assert doc["type"] == "MassLossError"
     assert "boundary-mass fraction" in doc["failure"]
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_memory_error_exits_2_with_diagnostic(tmp_path, capsys, monkeypatch):
+    # a grid too large for memory is a numerical failure, not a traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 64.0 GiB for an array")
+
+    monkeypatch.setattr(cli, "radial_ground_state", exhausted)
+    out = tmp_path / "oom"
+    code = run(["conditions", "--field", "gauss:b0=0.3,s=1", "--dim", "2", "--out", str(out)])
+    assert code == 2
+    assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
+    doc = read_json(out / "diagnostic.json")
+    assert doc["type"] == "MemoryError"
+    assert "Unable to allocate" in doc["failure"]
     assert "numerical failure" in capsys.readouterr().err
 
 
