@@ -11,6 +11,7 @@ shifts g_y u = e^{i phi_y} u(. - y) then transport energies between gauges.
 """
 
 from dataclasses import dataclass, field as _dfield
+from typing import Optional
 
 import numpy as np
 
@@ -175,12 +176,19 @@ def _phase_tables(A: PotentialField, grid: Grid) -> list:
     return grid._cached(("phase_tables", id(A)), build)[1]
 
 
-def _first_axis_factor(A: PotentialField, grid: Grid) -> np.ndarray:
+def _first_axis_factor(A: PotentialField, grid: Grid) -> Optional[np.ndarray]:
     """E0 = e^{-i C_1} on the grid: the factor every tabled shift of A shares.
 
+    None when the table C_1 is zero throughout, as for every built-in field
+    but ``symmetric`` (A_1 = 0): E0 is then 1 and is neither built nor kept.
     Cached next to the phase tables; the cached value holds A, as theirs does.
     """
-    return grid._cached(("first_axis_factor", id(A)), lambda: (A, np.exp(-1j * _phase_tables(A, grid)[0])))[1]
+
+    def build():
+        C1 = _phase_tables(A, grid)[0]
+        return A, (np.exp(-1j * C1) if np.any(C1) else None)
+
+    return grid._cached(("first_axis_factor", id(A)), build)[1]
 
 
 def _drop_tables(A: PotentialField, grid: Grid) -> None:
@@ -390,7 +398,8 @@ class ShiftOp:
 
     y is restricted to integer multiples of the grid spacing so the identity
     checks separate gauge error from interpolation error.  ``factor`` holds
-    e^{i(theta + phi_y)} on the grid.
+    e^{i(theta + phi_y)} on the grid (a read-only broadcast view along axis
+    0 where ``make_shift`` skips E0).
     """
 
     grid: Grid
@@ -415,10 +424,12 @@ def make_shift(
     only the factor is built, as E0 e^{i(theta + psi_y)} from the split of
     ``_split_phase``: per tabled y only the (dim-1)-dimensional exponential
     is taken.  Every built-in field but ``symmetric`` has A_1 = 0, so E0 is
-    exactly 1 and the factor is e^{i(theta + phi_y)} to the bit.  A y that
-    is no lattice vector raises ``ValueError``.  ``shift_apply`` and
-    ``shift_invert`` raise ``MassLossError`` when a move would drop more
-    than ``max_loss`` of the quadrature mass W|u|^2 off the window.
+    exactly 1: the factor is then e^{i(theta + psi_y)} itself, broadcast to
+    the grid as a read-only view, and equals e^{i(theta + phi_y)} to the
+    bit.  A y that is no lattice vector raises ``ValueError``.
+    ``shift_apply`` and ``shift_invert`` raise ``MassLossError`` when a move
+    would drop more than ``max_loss`` of the quadrature mass W|u|^2 off the
+    window.
     """
     y = _base_point(y, grid, normalization)
     steps = grid.is_lattice_vector(y)
@@ -427,7 +438,8 @@ def make_shift(
     C, psi = _split_phase(A, y, steps, grid, normalization)
     factor = np.exp(1j * (theta + psi))
     if C is not None:
-        factor = _first_axis_factor(A, grid) * factor
+        E0 = _first_axis_factor(A, grid)
+        factor = np.broadcast_to(factor, grid.shape) if E0 is None else E0 * factor
     return ShiftOp(grid=grid, y=y, steps=steps, factor=factor, theta=theta, max_loss=max_loss)
 
 

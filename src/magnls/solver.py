@@ -4,19 +4,25 @@ The field-free limit profile comes from shooting on the radial equation, with
 Brent's method on a signed shooting function of u(0); the smallness condition
 on B and the two-sided level bracket are phrased against it.  The
 critical-point search takes Newton steps, each solved by ``minres``.
+
+Beyond numpy this module imports only ``scipy.fft``, at module level so that
+its cost falls in start-up rather than in the first preconditioner.  The
+shooting integrator, root finder, quadrature and spline come from
+``magnls._numerics``: ports of scipy's DOP853 ``solve_ivp``, ``brentq``,
+``simpson`` and clamped ``CubicSpline`` that round as scipy does.  The
+operators handed to ``minres`` are ``_Operator`` tuples in place of scipy's
+``LinearOperator``.
 """
 
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import exp, sqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator
+from scipy.fft import dstn, idstn
 
+from ._numerics import brentq, clamped_spline, simpson, solve_ivp
 from .calculus import (
     BOUNDARY_MASS_TOL,
     ComplexField,
@@ -106,7 +112,8 @@ class GroundState:
         return abs(J - M) / M
 
     def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        spline = CubicSpline(self.r, self.w, bc_type=((1, 0.0), (1, float(self.dw[-1]))))
+        """w as a clamped cubic spline through the profile (slopes 0 at r = 0 and dw at r_max), zero beyond r_max."""
+        spline = clamped_spline(self.r, self.w, 0.0, float(self.dw[-1]))
         rmax = float(self.r[-1])
 
         def f(radii):
@@ -134,33 +141,27 @@ def _shot(a: float, N: int, p: float, lam: float, r_max: float, tol: float, floo
     the first of two events: u falls through ``floor`` (event 0) or u' turns
     positive (event 1, the profile turns back up).  It is integrated with the
     8th-order DOP853 pair, which at rtol 1e-10 needs far fewer steps per
-    shot than the default RK45.
+    shot than RK45.
     """
     c = (lam * a - a ** (p - 1)) / (2.0 * N)
+    q = p - 2.0
+    bend = float(N - 1)
 
-    def rhs(r, yv):
-        u, du = yv
-        return [du, lam * u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
+    def rhs(r, u, du):
+        return du, lam * u - abs(u) ** q * u - bend / r * du
 
-    def fell(r, yv):
-        return yv[0] - floor
+    def fell(r, u, du):
+        return u - floor
 
-    fell.terminal = True
-    fell.direction = -1.0
-
-    def turned(r, yv):
-        return yv[1]
-
-    turned.terminal = True
-    turned.direction = 1.0
+    def turned(r, u, du):
+        return du
 
     return solve_ivp(
         rhs,
         (_R0, r_max),
-        [a + c * _R0**2, 2.0 * c * _R0],
-        method="DOP853",
+        (a + c * _R0**2, 2.0 * c * _R0),
         t_eval=t_eval,
-        events=(fell, turned),
+        events=((fell, -1.0), (turned, 1.0)),
         rtol=tol,
         atol=tol * 1e-3,
         max_step=0.1 * r_max,
@@ -189,6 +190,41 @@ def _shot_sign(a: float, N: int, p: float, lam: float, r_max: float, rtol: float
 # a ground state whose ``nehari_residual`` exceeds this is a numerical failure
 NEHARI_TOL = 1e-6
 
+# the final shot's mesh: 4001 uniform points, graded to _GRADED_SPACINGS
+# intervals per core width where the core spans fewer than _CORE_SPACINGS
+_MESH_POINTS = 4001
+_CORE_SPACINGS = 20
+_GRADED_SPACINGS = 80
+
+
+def _final_mesh(u0: float, p: float, lam: float, r_max: float):
+    """Radii of the final shot's samples, and the spacing h of their uniform outer part.
+
+    4001 uniform points over [_R0, r_max], unless the core width
+    ``u0^{-(p-2)/2} / sqrt(lam)``, the radius over which w falls from u0, is
+    below 20 of their spacings h, as near the critical exponent.  Then 81
+    equal intervals span the core, the spacing grows with r as about r / 80
+    out to 80 h, and is h beyond.  Simpson's rule pairs the intervals of
+    the profile ``[0, _R0, mesh...]``: both intervals of every pair are
+    equal, since a pair of unequal ones loses the rule's fourth order.  On
+    the uniform mesh the rule's errors cancel along the smooth decaying
+    profile, which a graded mesh forgoes, hence 80 rather than 20 intervals
+    (N = 3, p = 5.9: residual 1.0e-10 at lambda = 1 against 1.9e-7 with 20).
+    """
+    mesh = np.linspace(_R0, r_max, _MESH_POINTS)
+    h = mesh[1] - mesh[0]
+    core = u0 ** (-(p - 2.0) / 2.0) / sqrt(lam)
+    if core >= _CORE_SPACINGS * h:
+        return mesh, h
+    k = _GRADED_SPACINGS
+    inner = np.linspace(_R0, core, k + 2)  # the core at an odd index, where two pairs meet
+    edges = np.geomspace(core, k * h, int(np.ceil(np.log(k * h / core) / np.log(1.0 + 2.0 / k))) + 1)
+    middle = np.empty(2 * edges.size - 1)  # each pair's edges and its midpoint
+    middle[0::2] = edges
+    middle[1::2] = 0.5 * (edges[:-1] + edges[1:])
+    outer = np.linspace(k * h, r_max, int(round((r_max - k * h) / h)) + 1)
+    return np.concatenate((inner[:-1], middle[:-1], outer)), outer[1] - outer[0]
+
 
 def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: float = 1e-10) -> GroundState:
     """Shooting with Brent's method on u(0) for the positive radial decaying profile.
@@ -196,9 +232,11 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     ``brentq`` finds the root of ``_shot_sign`` between a shot that turns back
     up and one that crosses zero: 13/18/24 shots for N = 1/2/3 at p = 4 (the
     final dense one included), where bisection took 42/44/48.  The final
-    profile is extended by the matched exponential tail beyond the last
-    trustworthy radius.  A profile whose ``nehari_residual`` exceeds
-    ``NEHARI_TOL`` raises ``RuntimeError``, so no caller takes c_inf from it.
+    shot is sampled on ``_final_mesh``, graded where the core is narrow, and
+    extended by the matched exponential tail, at the mesh's outer spacing,
+    beyond the last trustworthy radius.  A profile whose
+    ``nehari_residual`` exceeds ``NEHARI_TOL`` raises ``RuntimeError``, so
+    no caller takes c_inf from it.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
@@ -228,7 +266,7 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
 
     # stop where the shot inevitably departs from the separatrix (crossing
     # below zero or turning back up); the matched tail takes over from there
-    mesh = np.linspace(_R0, r_max, 4001)
+    mesh, spacing = _final_mesh(a_star, p, lam, r_max)
     sol = _shot(a_star, N, p, lam, r_max, tol, 1e-12 * a_star, t_eval=mesh)
     r = np.concatenate(([0.0], sol.t))
     w = np.concatenate(([a_star], sol.y[0]))
@@ -237,7 +275,7 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
         # extend by the matched tail w ~ C r^{-(N-1)/2} e^{-sqrt(lam) r}
         r1, w1 = r[-1], max(w[-1], 1e-300)
         sq = np.sqrt(lam)
-        tail_r = np.arange(r1, r_max, mesh[1] - mesh[0])[1:]
+        tail_r = np.arange(r1, r_max, spacing)[1:]
         if tail_r.size:
             Ctail = w1 / (r1 ** (-(N - 1) / 2.0) * np.exp(-sq * r1))
             tail_w = Ctail * tail_r ** (-(N - 1) / 2.0) * np.exp(-sq * tail_r)
@@ -839,8 +877,6 @@ def _poisson_solver(grid: Grid, V: np.ndarray):
     keeps this form: routing it through ``_block_preconditioner`` raises the
     README ``conditions`` lambda0 case from 15 iterations to 37.
     """
-    from scipy.fft import dstn, idstn
-
     denom = _dst_denominator(grid.n, grid.h, V)
 
     def solve(z):
@@ -864,8 +900,6 @@ def _block_preconditioner(grid: Grid, V: np.ndarray):
     so the result is symmetric positive definite.  Both blocks add
     ``_mass_shift(V)``.  It maps complex node arrays to fresh ones.
     """
-    from scipy.fft import dstn, idstn
-
     denom = _dst_denominator(tuple(n - 2 for n in grid.n), grid.h, V)
     edge = _free(grid).stencil[0] / grid.weights() + _mass_shift(V)
     inner = (slice(1, -1),) * grid.dim
@@ -904,6 +938,14 @@ def _linearized_operator(u_vals, prep, Vvals, p, W):
         return out
 
     return apply
+
+
+class _Operator(NamedTuple):
+    """A linear map as ``minres`` reads it: ``matvec`` alone, with the ``shape`` and ``dtype`` other readers expect."""
+
+    shape: tuple
+    dtype: np.dtype
+    matvec: Callable[[np.ndarray], np.ndarray]
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -1109,7 +1151,7 @@ def critical_point_search(
         return x.view(complex).reshape(grid.shape)
 
     def operator(apply):  # apply on node values as MINRES reads it: views, no copies
-        return LinearOperator((n, n), matvec=lambda x: vector(apply(nodes(x))), dtype=float)
+        return _Operator((n, n), np.dtype(float), lambda x: vector(apply(nodes(x))))
 
     def residual(u_vals):
         r, nrm = el_residual(ComplexField(grid, u_vals), Avals, params)

@@ -68,17 +68,28 @@ def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys, flag, value):
 
 @pytest.mark.parametrize("command", [["conditions"], ["landscape", "--R", "0"], ["solve", "--R", "0"]])
 def test_failed_nehari_check_exits_2_wherever_the_ground_state_is_shot(tmp_path, capsys, command):
-    # near the critical exponent the uniform shooting mesh misses the core:
-    # N = 3, p = 5.9, lambda = 4 gives a residual of 1.42, so no command may
-    # take c_inf from that profile
+    # a decay length 1/sqrt(lambda) = 31.6 against the fixed r_max = 35: the
+    # profile is cut off where it still carries mass, and N = 3, p = 4,
+    # lambda = 1e-3 gives a residual of 0.42, so no command may take c_inf
+    # from that profile
     out = tmp_path / "run"
-    code = run(command + ["--dim", "3", "--p", "5.9", "--lambda", "4", "--out", str(out)])
+    code = run(command + ["--dim", "3", "--p", "4", "--lambda", "0.001", "--out", str(out)])
     assert code == 2
     doc = read_json(out / "diagnostic.json")
     assert doc["type"] == "RuntimeError"
     found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06; .*", doc["failure"])
-    assert found and float(found.group(1)) > 1.0, doc["failure"]
+    assert found and float(found.group(1)) > 0.1, doc["failure"]
     assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
+
+
+def test_landscape_near_critical_exponent_exits_0(tmp_path, capsys):
+    # N = 3, p = 5.9, lambda = 4: the core spans under one uniform spacing,
+    # and the graded final mesh brings the residual under its tol (it read
+    # 1.42 on the uniform mesh, and the command exited 2)
+    out = tmp_path / "land"
+    code = run(["landscape", "--dim", "3", "--p", "5.9", "--lambda", "4", "--R", "0", "--out", str(out)])
+    assert code == 0
+    assert os.path.exists(out / "landscape.json")
 
 
 def test_groundstate_same_sign_bracket_exits_2(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from magnls.calculus import FunctionalParams, Grid, bump, energy_EA, prepare_potential
 from magnls.field import PotentialField, _mesh_points, curl, curl_of_samples, field_library
+from magnls import gauge
 from magnls.gauge import (
     MassLossError,
     QUAD_TOL,
@@ -334,12 +335,16 @@ def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
         spec = dict(TABLE_FIELDS[name])
         A = field_library(spec.pop("tag"), dim=dim, **spec)
     grid = Grid(2.0, 33 if dim == 2 else 13, dim=dim)
-    # inside the window, the origin, and beyond the window along axis 0
-    for k in [(3, -5, 1), (-16, 16, 6), (0, 0, 0), (40, 3, -2)]:
+    # inside the window (some with zero components), the origin, and beyond
+    # the window along axis 0
+    for k in [(3, -5, 1), (-16, 16, 6), (0, 4, 0), (5, 0, -3), (0, 0, 0), (40, 3, -2)]:
         for theta in (0.0, 0.7):
             g = make_shift(A, np.array(k[:dim]) * np.array(grid.h), grid, theta=theta, max_loss=1.0)
             full = np.exp(1j * (theta + rephase_field(A, g.y, grid).samples.values))
+            assert g.factor.shape == grid.shape
             if name in ("landau", "gaussian"):
+                # C_1 = 0: E0 is neither built nor kept, nor multiplied in
+                assert gauge._first_axis_factor(A, grid) is None
                 assert g.factor.tobytes() == full.tobytes(), (k, theta)
             else:
                 # E0 e^{i(theta + psi)} and e^{i(theta + psi - C_1)} round

@@ -21,7 +21,9 @@ from magnls.field import field_library
 from magnls.gauge import make_shift, shift_apply
 from magnls import solver
 from magnls.solver import (
+    _R0,
     _block_preconditioner,
+    _final_mesh,
     _poisson_solver,
     _shot_sign,
     condition_report,
@@ -65,13 +67,12 @@ def test_shot_count(N, shots, monkeypatch):
     solve_ivp = solver.solve_ivp
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("method"))
+        calls.append(1)
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(solver, "solve_ivp", counted)
     radial_ground_state(N, 4.0, 1.0)
     assert len(calls) == shots
-    assert set(calls) == {"DOP853"}
 
 
 # u0 and c_inf from the bisection on u(0) that Brent's method replaced
@@ -122,6 +123,39 @@ def test_nehari_identity_3d(gs3):
 
 def test_nehari_identity_2d(gs2):
     assert gs2.nehari_residual() <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [0.25, 1.0, 4.0])
+def test_nehari_identity_near_critical_exponent(lam):
+    # N = 3, p = 5.9: the core u0^{-(p-2)/2}/sqrt(lam) spans under one
+    # spacing of the uniform 4001-point mesh at lambda = 4 (residual 1.42
+    # there); the graded mesh resolves it
+    gs = radial_ground_state(3, 5.9, lam)
+    assert gs.nehari_residual() <= 1e-8
+
+
+@pytest.mark.parametrize("N", [1, 2, 3])
+def test_final_mesh_uniform_away_from_critical_exponent(N, request):
+    # at p = 4 every core spans more than 20 spacings: the mesh is the
+    # uniform one, and the tail takes its spacing
+    gs = request.getfixturevalue(f"gs{N}")
+    mesh, spacing = _final_mesh(gs.u0, 4.0, 1.0, 35.0)
+    assert mesh.tobytes() == np.linspace(_R0, 35.0, 4001).tobytes()
+    assert spacing == mesh[1] - mesh[0]
+
+
+def test_final_mesh_pairs_equal_intervals():
+    # graded: Simpson's pairs of intervals over [0, _R0, mesh...] are equal
+    # beyond the first, and the spacing runs from core/81 up to the outer h
+    u0 = 19.68580711477693  # N = 3, p = 5.9, lambda = 4
+    mesh, spacing = _final_mesh(u0, 5.9, 4.0, 35.0)
+    core = u0 ** -1.95 / 2.0
+    d = np.diff(mesh)
+    assert np.all(d > 0)
+    assert np.allclose(d[1::2], d[2::2][: d[1::2].size], rtol=1e-9, atol=0)
+    assert d[1] == pytest.approx(core / 81, rel=1e-4)
+    assert d[-1] == pytest.approx(spacing, rel=1e-9)
+    assert spacing == pytest.approx(35.0 / 4000, rel=1e-3)
 
 
 def test_monotone_profile_with_exponential_tail(gs3):
