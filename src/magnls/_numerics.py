@@ -200,7 +200,7 @@ class _Dop853:
             K[s] = fun(t + _C[s] * h, u + du * h, v + dv * h)
 
     def step(self) -> bool:
-        """Take one accepted step; False, with the state unchanged, once the size falls below 10 ulp of t."""
+        """Take one accepted step; False, with the state unchanged, once the size is NaN or below 10 ulp of t."""
         t, u, v, K = self.t, self.u, self.v, self.K
         rtol, atol = self.rtol, self.atol
         min_step = 10 * abs(nextafter(t, inf) - t)
@@ -211,7 +211,7 @@ class _Dop853:
             h_abs = min_step
         rejected = False
         while True:
-            if h_abs < min_step:
+            if not h_abs >= min_step:  # a NaN size, from a NaN state, ends the run too
                 return False
             t_new = min(t + h_abs, self.t_bound)
             h = t_new - t

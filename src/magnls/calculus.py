@@ -86,8 +86,8 @@ class Grid:
         object.__setattr__(self, "extents", _as_tuple(extents, self.dim, float))
         object.__setattr__(self, "n", _as_tuple(n, self.dim, _whole))
         for L, ni in zip(self.extents, self.n):
-            if L <= 0:
-                raise ValueError(f"extent must be positive, got {L}")
+            if not (np.isfinite(L) and L > 0):
+                raise ValueError(f"extent must be finite and positive, got {L}")
             if ni < 3 or ni % 2 == 0:
                 raise ValueError(f"nodes per axis must be odd and >= 3, got {ni}")
 
@@ -238,8 +238,8 @@ class FunctionalParams:
                 raise ValueError(f"p must lie in the admissible range (2, {pmax}) for dim {self.dim}, got {self.p}")
         elif self.p <= 2.0:
             raise ValueError(f"p must exceed 2, got {self.p}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.V is not None and not np.all(np.isfinite(self.V.values)):
             raise ValueError("V must be bounded on the grid")
 

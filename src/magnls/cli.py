@@ -77,6 +77,8 @@ def _parse_v_spec(text: str, grid: Grid) -> RealField:
     base = params.get("base", 1.0)
     amp = params.get("amp", 1.0)
     s = params.get("s", 1.0)
+    if not s > 0:
+        raise ValueError(f"V spec 'gauss' needs s > 0, got {s}")
     r2 = np.sum(grid.nodes() ** 2, axis=-1)
     return RealField(grid, base + amp * np.exp(-r2 / s**2))
 
@@ -334,8 +336,13 @@ def _read_profiles_spec(text: str):
     dim = _whole(gspec["dim"]) if "dim" in gspec else len(gspec.get("L", [1, 1]))
     grid = Grid(gspec.get("L", 8.0), gspec.get("n", 129), dim=dim)
 
+    def finite(value, name, positive=False):
+        if not np.all(np.isfinite(value)) or (positive and not value > 0):
+            raise ValueError(f"spec {name} must be finite{' and > 0' if positive else ''}, got {value}")
+        return value
+
     def point(q, key):
-        entries = tuple(float(c) for c in q[key])
+        entries = finite(tuple(float(c) for c in q[key]), f"profile {key}")
         if len(entries) != dim:
             raise ValueError(f"spec profile {key} has {len(entries)} entries, expected {dim}")
         return entries
@@ -343,13 +350,11 @@ def _read_profiles_spec(text: str):
     shapes = []
     for q in doc.get("profiles", []):
         q = _spec_section(q, "profile", ("amplitude", "phase", "width", "wave", "center", "trajectory"))
-        width = float(q.get("width", 1.0))
-        if not (np.isfinite(width) and width > 0):
-            raise ValueError(f"spec profile width must be finite and > 0, got {width}")
         shapes.append(
             ProfileSpec(
-                amplitude=complex(q.get("amplitude", 1.0)) * np.exp(1j * float(q.get("phase", 0.0))),
-                width=width,
+                amplitude=finite(complex(q.get("amplitude", 1.0)), "profile amplitude")
+                * np.exp(1j * finite(float(q.get("phase", 0.0)), "profile phase")),
+                width=finite(float(q.get("width", 1.0)), "profile width", positive=True),
                 wave=point(q, "wave") if "wave" in q else None,
                 center=point(q, "center") if "center" in q else (),
                 direction=point(q, "trajectory") if "trajectory" in q else (),
@@ -362,11 +367,11 @@ def _read_profiles_spec(text: str):
     spec = SyntheticSpec(
         profiles=shapes,
         field=parse_field_spec(doc["field"], dim=dim) if "field" in doc else None,
-        noise_amplitude=float(noise.get("amplitude", 0.0)),
-        noise_decay=float(noise.get("decay", 0.1)),
+        noise_amplitude=finite(float(noise.get("amplitude", 0.0)), "noise amplitude"),
+        noise_decay=finite(float(noise.get("decay", 0.1)), "noise decay"),
         noise_seed=_whole(noise.get("seed", 0)),
-        spreading_amplitude=float(spreading.get("amplitude", 0.0)),
-        spreading_width=float(spreading.get("width", 1.0)),
+        spreading_amplitude=finite(float(spreading.get("amplitude", 0.0)), "spreading amplitude"),
+        spreading_width=finite(float(spreading.get("width", 1.0)), "spreading width", positive=True),
     )
     ex = _spec_section(doc.get("extract", {}), "extract", _EXTRACT_KEYS + ("rho",))
     opts = ExtractOpts(**{key: float(ex[key]) for key in _EXTRACT_KEYS if key in ex})

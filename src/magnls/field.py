@@ -309,7 +309,7 @@ def _read_spec(text: str, grammar: dict, kind: str):
     """Read ``name:key=<f>,...`` against ``grammar`` (name -> accepted keys).
 
     Returns the name and its float parameters.  An unknown name, an unknown
-    key or a value that is not a number raises ``ValueError``.
+    key or a value that is not a finite number raises ``ValueError``.
     """
     name, _, rest = text.strip().partition(":")
     if name not in grammar:
@@ -324,6 +324,8 @@ def _read_spec(text: str, grammar: dict, kind: str):
             params[key] = float(val)
         except ValueError:
             raise ValueError(f"bad numeric value '{val}' for '{key}' in {kind}") from None
+        if not np.isfinite(params[key]):
+            raise ValueError(f"non-finite value '{val}' for '{key}' in {kind}")
     return name, params
 
 

@@ -11,7 +11,6 @@ shifts g_y u = e^{i phi_y} u(. - y) then transport energies between gauges.
 """
 
 from dataclasses import dataclass, field as _dfield
-from typing import Optional
 
 import numpy as np
 
@@ -158,6 +157,9 @@ def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
 def _phase_tables(A: PotentialField, grid: Grid) -> list:
     """Per-axis cumulative integrals C_m(x) = int_{x_m^min}^{x_m} A_m(.., t, ..) dt on the grid.
 
+    C_1 is None where its table is +0 throughout, as for every built-in
+    field but ``symmetric`` (A_1 = 0): subtracting it changes no bit, so it
+    is neither kept nor subtracted, and the entry holds dim - 1 tables.
     Cached on the grid per field until ``_drop_tables``.  The cached value
     holds A, so its id cannot be reused while the entry lives; a build that
     raises caches nothing.
@@ -171,77 +173,58 @@ def _phase_tables(A: PotentialField, grid: Grid) -> list:
             )
             for m in range(1, grid.dim + 1)
         ]
+        if not (np.any(tables[0]) or np.any(np.signbit(tables[0]))):
+            tables[0] = None
         return A, tables
 
     return grid._cached(("phase_tables", id(A)), build)[1]
 
 
-def _first_axis_factor(A: PotentialField, grid: Grid) -> Optional[np.ndarray]:
-    """E0 = e^{-i C_1} on the grid: the factor every tabled shift of A shares.
-
-    None when the table C_1 is zero throughout, as for every built-in field
-    but ``symmetric`` (A_1 = 0): E0 is then 1 and is neither built nor kept.
-    Cached next to the phase tables; the cached value holds A, as theirs does.
-    """
-
-    def build():
-        C1 = _phase_tables(A, grid)[0]
-        return A, (np.exp(-1j * C1) if np.any(C1) else None)
-
-    return grid._cached(("first_axis_factor", id(A)), build)[1]
-
-
 def _drop_tables(A: PotentialField, grid: Grid) -> None:
-    """Forget the cached phase tables and first-axis factor of A on the grid.
+    """Forget the cached phase tables of A on the grid.
 
-    Only ``make_shift`` reads them, yet the cache keeps them as long as the
-    grid lives: about 10.5 MB at 65^3, carried through a whole Newton search
-    on the same grid.  A caller done making shifts of A drops them here; a
-    later shift of A builds them again.
+    Only ``make_shift`` and ``rephase_field`` read them, yet the cache keeps
+    them as long as the grid lives: ``dim`` grid arrays, or ``dim - 1`` where
+    C_1 is dropped (4.4 MB at 65^3 for landau), carried through a whole
+    Newton search on the same grid.  A caller done making shifts of A drops
+    them here; a later shift of A builds them again.
     """
-    cache = getattr(grid, "_cache", {})
-    for kind in ("phase_tables", "first_axis_factor"):
-        cache.pop((kind, id(A)), None)
+    getattr(grid, "_cache", {}).pop(("phase_tables", id(A)), None)
 
 
-def _split_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalization: str):
-    """phi_y on the grid as ``(C, psi)`` with phi_y = psi - C, or ``(None, phi_y)``.
+def _grid_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalization: str) -> np.ndarray:
+    """phi_y on the grid, as an array that broadcasts to ``grid.shape``.
 
-    ``steps`` is ``grid.is_lattice_vector(y)``, which the caller holds.
+    ``steps`` is ``grid.is_lattice_vector(y)``, which the caller holds: None
+    for an off-lattice y.
 
     For a lattice y whose node lies inside the window the tables give
-    phi_y = -C_1(x) + psi_y(x_2..x_N): C is the table C_1, which does not
-    depend on y, and psi has shape (1, n_2, .., n_N).  psi gathers
+    phi_y = psi_y(x_2..x_N) - C_1(x), where psi_y gathers
 
         C_1(y_1, x_>1) - sum_{m>=2} [C_m(y_<m, x_m, x_>m) - C_m(y_<=m, x_>m)].
 
-    y = 0 (phase identically zero), off-lattice y and y beyond the window
-    return the whole phase as psi.
+    The result then has shape (1, n_2, .., n_N) where the table C_1 is
+    dropped, and the grid's shape otherwise.  y = 0 (phase identically
+    zero), off-lattice y and y beyond the window give the whole grid.
     """
+    C1 = None
+    index = None if steps is None else tuple(grid.node_index(steps).tolist())
     if np.all(y == 0.0):
-        return None, np.zeros(grid.shape)
-    index = _window_index(grid, steps)
-    if index is None:
-        C, psi = None, _phase_values(A, y, grid.axes)
+        phase = np.zeros(grid.shape)
+    elif index is None or not all(0 <= j < n for j, n in zip(index, grid.n)):
+        phase = _phase_values(A, y, grid.axes)
     else:
-        tables = _phase_tables(A, grid)
+        C1, *tables = _phase_tables(A, grid)
         total = np.zeros((1,) + grid.shape[1:])
-        total -= tables[0][index[0]]
-        for m, Cm in enumerate(tables[1:], start=2):
+        if C1 is not None:
+            total -= C1[index[0]]
+        for m, Cm in enumerate(tables, start=2):
             T = Cm[tuple(index[: m - 1])]
             total += (T - T[index[m - 1]]).reshape((1,) * (m - 1) + T.shape)
-        C, psi = tables[0], -total
+        phase = -total
     if normalization == "at_half":
-        psi = psi - float(_phase_values(A, y, [np.array([yi / 2.0]) for yi in y]).reshape(()))
-    return C, psi
-
-
-def _window_index(grid: Grid, steps):
-    """Node index of the lattice point ``steps`` inside the window, else None (also for ``steps`` None)."""
-    if steps is None:
-        return None
-    index = tuple(grid.node_index(steps).tolist())
-    return index if all(0 <= j < n for j, n in zip(index, grid.n)) else None
+        phase = phase - float(_phase_values(A, y, [np.array([yi / 2.0]) for yi in y]).reshape(()))
+    return phase if C1 is None else phase - C1
 
 
 def _base_point(y, grid: Grid, normalization: str) -> np.ndarray:
@@ -276,9 +259,8 @@ def rephase_field(
     integrates its own staircase.
     """
     y = _base_point(y, grid, normalization)
-    C, psi = _split_phase(A, y, grid.is_lattice_vector(y), grid, normalization)
-    vals = psi if C is None else psi - C
-    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, vals))
+    phase = np.broadcast_to(_grid_phase(A, y, grid.is_lattice_vector(y), grid, normalization), grid.shape)
+    return GaugePhase(base_point=y, normalization=normalization, samples=RealField(grid, phase.copy()))
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +380,8 @@ class ShiftOp:
 
     y is restricted to integer multiples of the grid spacing so the identity
     checks separate gauge error from interpolation error.  ``factor`` holds
-    e^{i(theta + phi_y)} on the grid (a read-only broadcast view along axis
-    0 where ``make_shift`` skips E0).
+    e^{i(theta + phi_y)} on the grid as a read-only view, broadcast along
+    axis 0 where phi_y does not depend on x_1.
     """
 
     grid: Grid
@@ -421,12 +403,13 @@ def make_shift(
     """The magnetic shift g_y u = e^{i(theta + phi_y)} u(. - y) on the grid.
 
     phi_y is the phase of ``rephase_field(A, y, grid, normalization)``, but
-    only the factor is built, as E0 e^{i(theta + psi_y)} from the split of
-    ``_split_phase``: per tabled y only the (dim-1)-dimensional exponential
-    is taken.  Every built-in field but ``symmetric`` has A_1 = 0, so E0 is
-    exactly 1: the factor is then e^{i(theta + psi_y)} itself, broadcast to
-    the grid as a read-only view, and equals e^{i(theta + phi_y)} to the
-    bit.  A y that is no lattice vector raises ``ValueError``.
+    only the factor is built: e^{i(theta + phi_y)} of the phase from
+    ``_grid_phase``, for every field and every y, so it keeps the bits of
+    the exponential of ``rephase_field``'s samples.  Where the phase does
+    not depend on x_1 (a tabled y of a field with A_1 = 0, as every
+    built-in field but ``symmetric``), only the (dim-1)-dimensional
+    exponential is taken and broadcast along axis 0.
+    A y that is no lattice vector raises ``ValueError``.
     ``shift_apply`` and ``shift_invert`` raise ``MassLossError`` when a move
     would drop more than ``max_loss`` of the quadrature mass W|u|^2 off the
     window.
@@ -435,11 +418,8 @@ def make_shift(
     steps = grid.is_lattice_vector(y)
     if steps is None:
         raise ValueError(f"shift {y.tolist()} is not an integer multiple of the grid spacing {grid.h}")
-    C, psi = _split_phase(A, y, steps, grid, normalization)
-    factor = np.exp(1j * (theta + psi))
-    if C is not None:
-        E0 = _first_axis_factor(A, grid)
-        factor = np.broadcast_to(factor, grid.shape) if E0 is None else E0 * factor
+    phase = _grid_phase(A, y, steps, grid, normalization)
+    factor = np.broadcast_to(np.exp(1j * (theta + phase)), grid.shape)
     return ShiftOp(grid=grid, y=y, steps=steps, factor=factor, theta=theta, max_loss=max_loss)
 
 

@@ -234,18 +234,35 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     final dense one included), where bisection took 42/44/48.  The final
     shot is sampled on ``_final_mesh``, graded where the core is narrow, and
     extended by the matched exponential tail, at the mesh's outer spacing,
-    beyond the last trustworthy radius.  A profile whose
-    ``nehari_residual`` exceeds ``NEHARI_TOL`` raises ``RuntimeError``, so
-    no caller takes c_inf from it.
+    beyond the last trustworthy radius.  A shot that overflows, and a
+    profile whose ``nehari_residual`` is not within ``NEHARI_TOL``, raise
+    ``RuntimeError``, so no caller takes c_inf from them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    FunctionalParams(p=p, lam=lam, dim=N)  # p admissible for N, lam > 0
+    FunctionalParams(p=p, lam=lam, dim=N)  # p admissible for N, lam finite and > 0
     if not (np.isfinite(r_max) and r_max > _R0):
         raise ValueError(f"r_max must be finite and > {_R0}, got {r_max}")
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            gs = _shoot_ground_state(N, p, lam, r_max, tol)
+    except ArithmeticError as exc:  # overflow, division by zero or an invalid value, in floats or numpy
+        raise RuntimeError(f"the shot overflows at p = {p:g}, lam = {lam:g}: {exc}") from None
+    residual = gs.nehari_residual()
+    if not residual <= NEHARI_TOL:
+        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {NEHARI_TOL:g}; raise r_max or lower tol")
+    return gs
 
+
+def _shoot_ground_state(N: int, p: float, lam: float, r_max: float, tol: float) -> GroundState:
+    """``radial_ground_state`` on validated input, before its Nehari check.
+
+    An overflowing shot raises ``OverflowError`` or ``ZeroDivisionError``
+    from its Python floats, or numpy's ``FloatingPointError`` under the
+    caller's ``np.errstate``.
+    """
     # brentq evaluates its bracket ends again; the cache shoots each height once
     s = lru_cache(maxsize=None)(lambda a: _shot_sign(a, N, p, lam, r_max, tol))
 
@@ -291,14 +308,10 @@ def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: 
     normp = float((area * simpson(w**p * rpow, x=r)) ** (1.0 / p))
     energy = float(area * simpson(dw**2 * rpow, x=r))
     c_inf = (p - 2.0) / (2.0 * p) * normp**p
-    gs = GroundState(
+    return GroundState(
         N=N, p=p, lam=lam, u0=a_star, r=r, w=w, dw=dw,
         norm2=norm2, normp=normp, energy=energy, c_inf=c_inf,
     )
-    residual = gs.nehari_residual()
-    if residual > NEHARI_TOL:
-        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {NEHARI_TOL:g}; raise r_max or lower tol")
-    return gs
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,9 @@ def gs3():
 @pytest.fixture(scope="session")
 def first_axis_field():
     """Builder of a field, in any dim >= 2, whose first component does not
-    vanish: its shifts carry E0 = e^{-i C_1} != 1, unlike every built-in
-    field but ``symmetric``.  It has no jacobian."""
+    vanish: its phase tables keep a nonzero C_1, so its shift phases span the
+    whole grid, as for no built-in field but ``symmetric``.  It has no
+    jacobian."""
 
     def build(dim):
         def ev(p):

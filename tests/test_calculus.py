@@ -43,6 +43,9 @@ def test_grid_validation():
         Grid(4.0, 2, dim=1)
     with pytest.raises(ValueError, match="positive"):
         Grid(-1.0, 33, dim=2)
+    for L in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(L, 9)
     with pytest.raises(ValueError, match="whole"):
         Grid((4.0, 2.0), (65.5, 33))
     g = Grid((4.0, 2.0), (65, 33))

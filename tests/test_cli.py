@@ -265,7 +265,7 @@ def test_solve_hands_search_a_lean_grid(tmp_path, monkeypatch):
     ])
     (keys,) = seen
     assert "nodes" not in keys
-    assert not [k for k in keys if isinstance(k, tuple) and k[0] in ("phase_tables", "first_axis_factor")]
+    assert not [k for k in keys if isinstance(k, tuple) and k[0] == "phase_tables"]
 
 
 def test_readme_solve_artifacts_independent_of_blas_threads(tmp_path):
@@ -397,25 +397,57 @@ def test_bad_ray_box_exits_1(tmp_path, capsys, monkeypatch, command, flag, value
     assert shots == []
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["landscape", "--field", "landau:b=0.5", "--R", "1", "--y-step", v] for v in ("inf", "nan")]
-    + [["gauge", "--field", "landau:b=1", "--y", f"{v},0"] for v in ("inf", "nan")],
-)
-def test_non_finite_lattice_input_exits_1(tmp_path, argv):
-    # a non-finite lattice step or shift is a validation error, not a traceback;
-    # a fresh interpreter shows what an uncaught exception would print
+def _cli(argv, tmp_path):
+    """Run ``magnls`` in a fresh interpreter, which shows what an uncaught
+    exception or warning would print; a run that stalls fails the test."""
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "magnls.cli", *argv, "--out", str(tmp_path / "out")],
         env=env,
         capture_output=True,
         text=True,
+        timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["landscape", "--field", "landau:b=0.5", "--R", "1", "--y-step", v] for v in ("inf", "nan")]
+    + [["gauge", "--field", "landau:b=1", "--y", f"{v},0"] for v in ("inf", "nan")]
+    + [
+        ["conditions", "--L", "inf"],
+        ["conditions", "--L", "nan"],
+        ["conditions", "--field", "landau:b=inf"],
+        ["conditions", "--V", "gauss:s=0"],
+        ["groundstate", "--lambda", "inf"],
+        ["conditions", "--lambda", "inf"],
+        ["landscape", "--R", "1", "--lambda", "inf"],
+        ["solve", "--R", "1", "--lambda", "inf"],
+    ],
+)
+def test_non_finite_lattice_input_exits_1(tmp_path, argv):
+    # a non-finite lattice step or shift, and any non-finite or degenerate
+    # number (extent, field or V parameter, lambda), is a validation error:
+    # one error line, with no traceback or RuntimeWarning before it.  An
+    # infinite lambda once shot a NaN state whose step size never fell below
+    # its floor, so the run never returned
+    proc = _cli(argv, tmp_path)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [["--p", "2.001", "--lambda", "1000"], ["--p", "4", "--lambda", "1e100"]])
+def test_overflowing_ground_state_is_a_numerical_failure(tmp_path, argv):
+    # the shot overflows a Python float (OverflowError, ZeroDivisionError):
+    # exit 2 with the diagnostic and manifest, not a traceback
+    proc = _cli(["groundstate", "--dim", "2", *argv], tmp_path)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+    assert sorted(os.listdir(tmp_path / "out")) == ["diagnostic.json", "manifest.json"]
+    assert read_json(tmp_path / "out" / "diagnostic.json")["type"] == "RuntimeError"
 
 
 @pytest.mark.parametrize("flag, value", [("--rmax", "nan"), ("--rmax", "inf"), ("--rmax", "-5"), ("--tol", "nan"), ("--tol", "-1")])
@@ -521,13 +553,19 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("profiles", [{"wave": [1]}]),
         ("profiles", [{"trajectory": [1.0]}]),
         ("profiles", [{"center": [1, 0, 0]}]),
+        ("profiles", [{"phase": float("inf")}]),
+        ("profiles", [{"wave": [float("inf"), 0]}]),
+        ("profiles", [{"amplitude": float("inf")}]),
+        ("spreading", {"width": 0}),
+        ("noise", {"amplitude": float("inf")}),
     ],
     ids=[
         "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
         "max-profiles-negative", "p-1.5", "n-fraction", "dim-fraction", "K-fraction", "max-profiles-fraction",
         "tail-window-fraction", "seed-fraction", "window-radius-0", "window-radius-inf", "eps-mass-negative",
         "K-below-two-tail-windows", "tail-window-above-half-K", "width-negative", "width-0", "width-inf",
-        "center-short", "wave-short", "trajectory-short", "center-long",
+        "center-short", "wave-short", "trajectory-short", "center-long", "phase-inf", "wave-inf",
+        "amplitude-inf", "spreading-width-0", "noise-amplitude-inf",
     ],
 )
 def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -325,31 +327,33 @@ def test_shift_roundtrip_generic_phase_near_exact():
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("name", ["landau", "gaussian", "symmetric", "custom"])
+@pytest.mark.parametrize("name", ["landau", "gaussian", "symmetric", "custom", "zero", "periodic"])
 def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
-    # the factor is E0 e^{i(theta + psi_y)} with E0 = e^{-i C_1}; where A_1 = 0,
-    # E0 is exactly 1 and the factor keeps the bits of e^{i(theta + phi_y)}
+    # one factor rule for every field: e^{i(theta + phi_y)} of rephase_field's
+    # phase, to the bit, whether or not A_1 vanishes
     if name == "custom":
         A = first_axis_field(dim)
+    elif name == "zero":
+        A = field_library("zero", dim=dim)
     else:
         spec = dict(TABLE_FIELDS[name])
         A = field_library(spec.pop("tag"), dim=dim, **spec)
     grid = Grid(2.0, 33 if dim == 2 else 13, dim=dim)
     # inside the window (some with zero components), the origin, and beyond
     # the window along axis 0
-    for k in [(3, -5, 1), (-16, 16, 6), (0, 4, 0), (5, 0, -3), (0, 0, 0), (40, 3, -2)]:
-        for theta in (0.0, 0.7):
-            g = make_shift(A, np.array(k[:dim]) * np.array(grid.h), grid, theta=theta, max_loss=1.0)
-            full = np.exp(1j * (theta + rephase_field(A, g.y, grid).samples.values))
-            assert g.factor.shape == grid.shape
-            if name in ("landau", "gaussian"):
-                # C_1 = 0: E0 is neither built nor kept, nor multiplied in
-                assert gauge._first_axis_factor(A, grid) is None
-                assert g.factor.tobytes() == full.tobytes(), (k, theta)
-            else:
-                # E0 e^{i(theta + psi)} and e^{i(theta + psi - C_1)} round
-                # differently, by a few ulps of the unit rotation
-                assert np.max(np.abs(g.factor - full)) <= 1e-15, (k, theta)
+    cases = [(3, -5, 1), (-16, 16, 6), (0, 4, 0), (5, 0, -3), (0, 0, 0), (40, 3, -2)]
+    for k, theta, normalization in itertools.product(cases, (0.0, 0.7), ("at_base", "at_half")):
+        y = np.array(k[:dim]) * np.array(grid.h)
+        g = make_shift(A, y, grid, theta=theta, normalization=normalization, max_loss=1.0)
+        phase = rephase_field(A, g.y, grid, normalization).samples.values
+        full = np.broadcast_to(np.exp(1j * (theta + phase)), grid.shape)
+        assert g.factor.shape == grid.shape
+        assert g.factor.tobytes() == full.tobytes(), (k, theta, normalization)
+    # the cache holds one entry for the field, and keeps no C_1 table where A_1 = 0
+    assert [key for key in grid._cache if isinstance(key, tuple) and key[1] == id(A)] == [("phase_tables", id(A))]
+    C1, *rest = gauge._phase_tables(A, grid)
+    assert len(rest) == dim - 1
+    assert (C1 is None) == (name not in ("symmetric", "custom"))
 
 
 def test_make_shift_splits_the_phase_once(monkeypatch):

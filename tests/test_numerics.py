@@ -1,5 +1,10 @@
 """The ports in ``magnls._numerics`` against the scipy routines they replace."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson as scipy_simpson
@@ -7,6 +12,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq as scipy_brentq
 
+import magnls
 from magnls._numerics import brentq, clamped_spline, simpson
 from magnls.calculus import Grid
 from magnls.solver import _R0, _final_mesh, _shot, radial_ground_state
@@ -60,6 +66,20 @@ def test_shot_without_event_runs_to_r_max(gs1):
         assert [e.size for e in ours.t_events] == [0, 0]
         assert ours.t[-1] == 0.5
         assert ours.t.tobytes() == ref.t.tobytes() and ours.y.tobytes() == ref.y.tobytes()
+
+
+def test_nan_state_ends_the_run():
+    # a NaN state gives a NaN step size, which ends the run where it is, as a
+    # size below its floor does; it was once retried without end, so the run
+    # is timed in a child process
+    code = (
+        "from magnls._numerics import solve_ivp; nan = float('nan'); "
+        "shot = solve_ivp(lambda t, u, v: (nan, nan), (0.0, 1.0), (nan, nan), "
+        "events=(), rtol=1e-10, atol=1e-13, max_step=0.1); print(shot.t.tolist())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(magnls.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["[0.0]"], proc.stderr
 
 
 FUNCTIONS = [

@@ -160,15 +160,11 @@ def test_surface_scan_matches_brute_force(tag, first_axis_field, data):
     if isinstance(want, str):
         assert got == want  # the same first offending shift, the same fraction
         return
-    if tag not in ("symmetric", "first_axis"):
-        # A_1 = 0: the same factor, products and summation order, to the bit
-        for a, b in zip(got[:3], want[:3]):
-            assert a.tobytes() == b.tobytes()
-        assert got[3] == want[3]
-    else:
-        for a, b in zip(got[:3], want[:3]):
-            assert np.max(np.abs(a - b)) <= 1e-14 * np.max(np.abs(b))
-        assert abs(got[3] - want[3]) <= 1e-14 * max(want[3], 1e-300)
+    # one factor rule for every field: the same factor, products and
+    # summation order, to the bit
+    for a, b in zip(got[:3], want[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got[3] == want[3]
 
 
 def test_surface_scan_mass_loss_error():

@@ -181,6 +181,16 @@ def test_shooting_input_validation():
         radial_ground_state(3, 7.0, 1.0)  # beyond 2* = 6
     with pytest.raises(ValueError, match="lam"):
         radial_ground_state(2, 4.0, -1.0)
+    with pytest.raises(ValueError, match="lam must be finite"):
+        radial_ground_state(2, 4.0, np.inf)
+
+
+@pytest.mark.parametrize("p, lam", [(2.001, 1000.0), (4.0, 1e100), (4.0, 1e50)])
+def test_overflowing_shot_raises_runtime_error(p, lam):
+    # u_zero overflows a float power, the first step's size divides by zero,
+    # and a numpy stage product turns invalid, in turn
+    with pytest.raises(RuntimeError, match="shot overflows"):
+        radial_ground_state(2, p, lam)
 
 
 @pytest.mark.parametrize(
