@@ -236,8 +236,8 @@ class FunctionalParams:
             pmax = _critical_exponent(self.dim)
             if not (2.0 < self.p < pmax):
                 raise ValueError(f"p must lie in the admissible range (2, {pmax}) for dim {self.dim}, got {self.p}")
-        elif self.p <= 2.0:
-            raise ValueError(f"p must exceed 2, got {self.p}")
+        elif not (np.isfinite(self.p) and self.p > 2.0):
+            raise ValueError(f"p must be finite and exceed 2, got {self.p}")
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lam must be finite and positive, got {self.lam}")
         if self.V is not None and not np.all(np.isfinite(self.V.values)):
@@ -425,8 +425,8 @@ def functional_I(u: ComplexField, A, params: FunctionalParams) -> float:
 
 
 def lp_norm(u: ComplexField, p: float) -> float:
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if not (np.isfinite(p) and p >= 1):
+        raise ValueError(f"p must be finite and >= 1, got {p}")
     W = u.grid.weights()
     return float(np.sum(W * np.abs(u.values) ** p) ** (1.0 / p))
 

@@ -53,6 +53,7 @@ from .solver import (
     landscape_seed,
     lattice_steps,
     radial_ground_state,
+    _SHOT_TOL,
     _check_search_limits,
 )
 
@@ -117,8 +118,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("groundstate", help="radial profile of the field-free limit problem")
     common(sp, window=False)
-    sp.add_argument("--rmax", type=float, default=35.0)
-    sp.add_argument("--tol", type=float, default=1e-10, help="shooting tolerance")
 
     sp = sub.add_parser("conditions", help="field smallness and vanishing-at-infinity report")
     common(sp)
@@ -202,7 +201,7 @@ def _run_gauge(args) -> int:
 
 def _run_groundstate(args) -> int:
     out = _outdir(args)
-    gs = radial_ground_state(args.dim, args.p, args.lam, r_max=args.rmax, tol=args.tol)
+    gs = radial_ground_state(args.dim, args.p, args.lam)
     mio.radial_to_csv(gs.r, {"w": gs.w, "dw": gs.dw}, os.path.join(out, "w.csv"))
     doc = {
         "N": gs.N,
@@ -214,7 +213,7 @@ def _run_groundstate(args) -> int:
         "energy": gs.energy,
         "c_inf": gs.c_inf,
         "nehari_residual": {"value": gs.nehari_residual(), "tol": NEHARI_TOL},
-        "ode_tol": args.tol,
+        "ode_tol": _SHOT_TOL,
     }
     mio.write_json(doc, os.path.join(out, "gs.json"))
     _manifest(args, out)
@@ -378,7 +377,7 @@ def _read_profiles_spec(text: str):
     K = _whole(doc.get("K", 8))
     if K < 2 * opts.tail_window:
         raise ValueError(f"K must be at least 2 * tail_window = {2 * opts.tail_window}, got {K}")
-    return grid, K, spec, opts, float(ex.get("rho", 1.0))
+    return grid, K, spec, opts, finite(float(ex.get("rho", 1.0)), "extract rho", positive=True)
 
 
 def _run_profiles(args) -> int:

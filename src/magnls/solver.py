@@ -1,9 +1,10 @@
 """Ground states, constrained minimization, the minimax landscape and critical-point search.
 
-The field-free limit profile comes from shooting on the radial equation, with
-Brent's method on a signed shooting function of u(0); the smallness condition
-on B and the two-sided level bracket are phrased against it.  The
-critical-point search takes Newton steps, each solved by ``minres``.
+The field-free limit profile comes from shooting on the radial equation at
+lam = 1, with Brent's method on a signed shooting function of u(0), and its
+exact scaling to lam; the smallness condition on B and the two-sided level
+bracket are phrased against it.  The critical-point search takes Newton
+steps, each solved by ``minres``.
 
 Beyond numpy this module imports only ``scipy.fft``, at module level so that
 its cost falls in start-up rather than in the first preconditioner.  The
@@ -112,7 +113,7 @@ class GroundState:
         return abs(J - M) / M
 
     def interpolant(self) -> Callable[[np.ndarray], np.ndarray]:
-        """w as a clamped cubic spline through the profile (slopes 0 at r = 0 and dw at r_max), zero beyond r_max."""
+        """w as a clamped cubic spline through the profile (slopes 0 at r = 0 and dw at its last radius), zero beyond it."""
         spline = clamped_spline(self.r, self.w, 0.0, float(self.dw[-1]))
         rmax = float(self.r[-1])
 
@@ -132,23 +133,25 @@ class GroundState:
 
 
 _R0 = 1e-8  # radius where the series start u(r) = a + c r^2 hands over to the ODE
+_R_MAX = 35.0  # end of the unit shot, in decay lengths 1/sqrt(lam)
+_SHOT_TOL = 1e-10  # the shots' rtol (atol is 1e-3 of it)
 
 
-def _shot(a: float, N: int, p: float, lam: float, r_max: float, tol: float, floor: float, t_eval=None):
-    """Integrate the radial ODE -u'' - (N-1)/r u' + lam u = |u|^{p-2} u from u(0) = a.
+def _shot(a: float, N: int, p: float, floor: float, t_eval=None):
+    """Integrate the unit radial ODE -u'' - (N-1)/r u' + u = |u|^{p-2} u from u(0) = a.
 
-    The shot starts at r = _R0 from the series u = a + c r^2 and stops at
-    the first of two events: u falls through ``floor`` (event 0) or u' turns
-    positive (event 1, the profile turns back up).  It is integrated with the
-    8th-order DOP853 pair, which at rtol 1e-10 needs far fewer steps per
-    shot than RK45.
+    The shot starts at r = _R0 from the series u = a + c r^2 and runs to
+    ``_R_MAX``, unless one of two events stops it first: u falls through
+    ``floor`` (event 0) or u' turns positive (event 1, the profile turns
+    back up).  It is integrated with the 8th-order DOP853 pair, which at
+    rtol ``_SHOT_TOL`` needs far fewer steps per shot than RK45.
     """
-    c = (lam * a - a ** (p - 1)) / (2.0 * N)
+    c = (a - a ** (p - 1)) / (2.0 * N)
     q = p - 2.0
     bend = float(N - 1)
 
     def rhs(r, u, du):
-        return du, lam * u - abs(u) ** q * u - bend / r * du
+        return du, u - abs(u) ** q * u - bend / r * du
 
     def fell(r, u, du):
         return u - floor
@@ -158,33 +161,32 @@ def _shot(a: float, N: int, p: float, lam: float, r_max: float, tol: float, floo
 
     return solve_ivp(
         rhs,
-        (_R0, r_max),
+        (_R0, _R_MAX),
         (a + c * _R0**2, 2.0 * c * _R0),
         t_eval=t_eval,
         events=((fell, -1.0), (turned, 1.0)),
-        rtol=tol,
-        atol=tol * 1e-3,
-        max_step=0.1 * r_max,
+        rtol=_SHOT_TOL,
+        atol=_SHOT_TOL * 1e-3,
+        max_step=0.1 * _R_MAX,
     )
 
 
-def _shot_sign(a: float, N: int, p: float, lam: float, r_max: float, rtol: float) -> float:
-    """Signed shooting function: zero at the ground state's u(0), proportional to a - a* near it.
+def _shot_sign(a: float, N: int, p: float) -> float:
+    """Signed shooting function of the unit problem: zero at its ground state's u(0), proportional to a - a* near it.
 
-    +e^{-2 sqrt(lam) r} if the shot from u(0) = a crosses zero at r (a too
-    high), -e^{-2 sqrt(lam) r} if it turns back up there (a too low): near the
-    root, the departure |a - a*| e^{sqrt(lam) r} meets the decay e^{-sqrt(lam) r}
-    at r.  With no event by r_max, r = r_max and u' + sqrt(lam) u gives the sign.
+    +e^{-2r} if the shot from u(0) = a crosses zero at r (a too high),
+    -e^{-2r} if it turns back up there (a too low): near the root, the
+    departure |a - a*| e^{r} meets the decay e^{-r} at r.  With no event by
+    ``_R_MAX``, r = ``_R_MAX`` and u' + u gives the sign.
     """
-    sol = _shot(a, N, p, lam, r_max, rtol, 0.0)
-    sq = sqrt(lam)
+    sol = _shot(a, N, p, 0.0)
     crossed, turned = sol.t_events
     if crossed.size:
-        return exp(-2.0 * sq * crossed[0])
+        return exp(-2.0 * crossed[0])
     if turned.size:
-        return -exp(-2.0 * sq * turned[0])
+        return -exp(-2.0 * turned[0])
     u, du = sol.y[0][-1], sol.y[1][-1]
-    return (-1.0 if du + sq * u > 0 else 1.0) * exp(-2.0 * sq * r_max)
+    return (-1.0 if du + u > 0 else 1.0) * exp(-2.0 * _R_MAX)
 
 
 # a ground state whose ``nehari_residual`` exceeds this is a numerical failure
@@ -197,23 +199,23 @@ _CORE_SPACINGS = 20
 _GRADED_SPACINGS = 80
 
 
-def _final_mesh(u0: float, p: float, lam: float, r_max: float):
-    """Radii of the final shot's samples, and the spacing h of their uniform outer part.
+def _final_mesh(u0: float, p: float):
+    """Radii of the unit problem's final shot, and the spacing h of their uniform outer part.
 
-    4001 uniform points over [_R0, r_max], unless the core width
-    ``u0^{-(p-2)/2} / sqrt(lam)``, the radius over which w falls from u0, is
-    below 20 of their spacings h, as near the critical exponent.  Then 81
-    equal intervals span the core, the spacing grows with r as about r / 80
-    out to 80 h, and is h beyond.  Simpson's rule pairs the intervals of
-    the profile ``[0, _R0, mesh...]``: both intervals of every pair are
-    equal, since a pair of unequal ones loses the rule's fourth order.  On
-    the uniform mesh the rule's errors cancel along the smooth decaying
+    4001 uniform points over [_R0, _R_MAX], unless the core width
+    ``u0^{-(p-2)/2}``, the radius over which w falls from u0, is below 20
+    of their spacings h, as near the critical exponent.  Then 81 equal
+    intervals span the core, the spacing grows with r as about r / 80 out
+    to 80 h, and is h beyond.  Simpson's rule pairs the intervals of the
+    profile ``[0, _R0, mesh...]``: both intervals of every pair are equal,
+    since a pair of unequal ones loses the rule's fourth order.  On the
+    uniform mesh the rule's errors cancel along the smooth decaying
     profile, which a graded mesh forgoes, hence 80 rather than 20 intervals
-    (N = 3, p = 5.9: residual 1.0e-10 at lambda = 1 against 1.9e-7 with 20).
+    (N = 3, p = 5.9: residual 1.0e-10 against 1.9e-7 with 20).
     """
-    mesh = np.linspace(_R0, r_max, _MESH_POINTS)
+    mesh = np.linspace(_R0, _R_MAX, _MESH_POINTS)
     h = mesh[1] - mesh[0]
-    core = u0 ** (-(p - 2.0) / 2.0) / sqrt(lam)
+    core = u0 ** (-(p - 2.0) / 2.0)
     if core >= _CORE_SPACINGS * h:
         return mesh, h
     k = _GRADED_SPACINGS
@@ -222,52 +224,53 @@ def _final_mesh(u0: float, p: float, lam: float, r_max: float):
     middle = np.empty(2 * edges.size - 1)  # each pair's edges and its midpoint
     middle[0::2] = edges
     middle[1::2] = 0.5 * (edges[:-1] + edges[1:])
-    outer = np.linspace(k * h, r_max, int(round((r_max - k * h) / h)) + 1)
+    outer = np.linspace(k * h, _R_MAX, int(round((_R_MAX - k * h) / h)) + 1)
     return np.concatenate((inner[:-1], middle[:-1], outer)), outer[1] - outer[0]
 
 
-def radial_ground_state(N: int, p: float, lam: float, r_max: float = 35.0, tol: float = 1e-10) -> GroundState:
-    """Shooting with Brent's method on u(0) for the positive radial decaying profile.
+def radial_ground_state(N: int, p: float, lam: float) -> GroundState:
+    """The positive radial decaying profile of -Du + lam u = u^{p-1}, scaled from the unit problem's.
 
-    ``brentq`` finds the root of ``_shot_sign`` between a shot that turns back
-    up and one that crosses zero: 13/18/24 shots for N = 1/2/3 at p = 4 (the
-    final dense one included), where bisection took 42/44/48.  The final
-    shot is sampled on ``_final_mesh``, graded where the core is narrow, and
-    extended by the matched exponential tail, at the mesh's outer spacing,
-    beyond the last trustworthy radius.  A shot that overflows, and a
-    profile whose ``nehari_residual`` is not within ``NEHARI_TOL``, raise
-    ``RuntimeError``, so no caller takes c_inf from them.
+    Only lam = 1 is shot: Brent's method on u(0) finds the root of
+    ``_shot_sign`` between a shot that turns back up and one that crosses
+    zero, in 13/18/24 shots for N = 1/2/3 at p = 4 (the final dense one
+    included).  The final shot is sampled on ``_final_mesh``, graded where
+    the core is narrow, and extended by the matched exponential tail, at
+    the mesh's outer spacing, beyond the last trustworthy radius, out to
+    ``_R_MAX``.  The exact scaling ``w_lam(x) = lam^{1/(p-2)} w_1(sqrt(lam) x)``
+    then maps the unit profile to lam, and the unit profile's norms and
+    energy take their exact powers of lam (every factor is 1.0 at lam = 1),
+    so the profile spans ``_R_MAX`` decay lengths at every lam.  A shot or
+    mapping that overflows, and a profile whose ``nehari_residual``
+    is not within ``NEHARI_TOL``, raise ``RuntimeError``, so no caller
+    takes c_inf from them.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
     FunctionalParams(p=p, lam=lam, dim=N)  # p admissible for N, lam finite and > 0
-    if not (np.isfinite(r_max) and r_max > _R0):
-        raise ValueError(f"r_max must be finite and > {_R0}, got {r_max}")
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            gs = _shoot_ground_state(N, p, lam, r_max, tol)
+            gs = _shoot_ground_state(N, p, lam)
     except ArithmeticError as exc:  # overflow, division by zero or an invalid value, in floats or numpy
         raise RuntimeError(f"the shot overflows at p = {p:g}, lam = {lam:g}: {exc}") from None
     residual = gs.nehari_residual()
     if not residual <= NEHARI_TOL:
-        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {NEHARI_TOL:g}; raise r_max or lower tol")
+        raise RuntimeError(f"nehari_residual {residual:.3g} exceeds its tol {NEHARI_TOL:g}")
     return gs
 
 
-def _shoot_ground_state(N: int, p: float, lam: float, r_max: float, tol: float) -> GroundState:
+def _shoot_ground_state(N: int, p: float, lam: float) -> GroundState:
     """``radial_ground_state`` on validated input, before its Nehari check.
 
-    An overflowing shot raises ``OverflowError`` or ``ZeroDivisionError``
-    from its Python floats, or numpy's ``FloatingPointError`` under the
-    caller's ``np.errstate``.
+    An overflowing shot or mapping raises ``OverflowError`` or
+    ``ZeroDivisionError`` from its Python floats, or numpy's
+    ``FloatingPointError`` under the caller's ``np.errstate``.
     """
     # brentq evaluates its bracket ends again; the cache shoots each height once
-    s = lru_cache(maxsize=None)(lambda a: _shot_sign(a, N, p, lam, r_max, tol))
+    s = lru_cache(maxsize=None)(lambda a: _shot_sign(a, N, p))
 
-    u_zero = (0.5 * p * lam) ** (1.0 / (p - 2.0))  # height where the well energy balances
-    lo = 0.5 * (u_zero + lam ** (1.0 / (p - 2.0)))
+    u_zero = (0.5 * p) ** (1.0 / (p - 2.0))  # height where the well energy balances
+    lo = 0.5 * (u_zero + 1.0)
     if s(lo) >= 0:
         lo = u_zero * (1.0 - 1e-9)
         if s(lo) >= 0:
@@ -278,38 +281,43 @@ def _shoot_ground_state(N: int, p: float, lam: float, r_max: float, tol: float) 
             break
         hi *= 1.5
     else:
-        raise RuntimeError("no overshoot bracket found; increase r_max or check parameters")
-    a_star = brentq(s, lo, hi, xtol=max(tol * 1e-2, 1e-14) * u_zero)
+        raise RuntimeError(f"no overshoot bracket: no shot up to u(0) = {hi} crosses zero")
+    a_star = brentq(s, lo, hi, xtol=_SHOT_TOL * 1e-2 * u_zero)
 
     # stop where the shot inevitably departs from the separatrix (crossing
     # below zero or turning back up); the matched tail takes over from there
-    mesh, spacing = _final_mesh(a_star, p, lam, r_max)
-    sol = _shot(a_star, N, p, lam, r_max, tol, 1e-12 * a_star, t_eval=mesh)
+    mesh, spacing = _final_mesh(a_star, p)
+    sol = _shot(a_star, N, p, 1e-12 * a_star, t_eval=mesh)
     r = np.concatenate(([0.0], sol.t))
     w = np.concatenate(([a_star], sol.y[0]))
     dw = np.concatenate(([0.0], sol.y[1]))
-    if r[-1] < r_max - 1e-9:
-        # extend by the matched tail w ~ C r^{-(N-1)/2} e^{-sqrt(lam) r}
+    if r[-1] < _R_MAX - 1e-9:
+        # extend by the matched tail w ~ C r^{-(N-1)/2} e^{-r}
         r1, w1 = r[-1], max(w[-1], 1e-300)
-        sq = np.sqrt(lam)
-        tail_r = np.arange(r1, r_max, spacing)[1:]
+        tail_r = np.arange(r1, _R_MAX, spacing)[1:]
         if tail_r.size:
-            Ctail = w1 / (r1 ** (-(N - 1) / 2.0) * np.exp(-sq * r1))
-            tail_w = Ctail * tail_r ** (-(N - 1) / 2.0) * np.exp(-sq * tail_r)
-            tail_dw = tail_w * (-(N - 1) / (2.0 * tail_r) - sq)
+            Ctail = w1 / (r1 ** (-(N - 1) / 2.0) * np.exp(-r1))
+            tail_w = Ctail * tail_r ** (-(N - 1) / 2.0) * np.exp(-tail_r)
+            tail_dw = tail_w * (-(N - 1) / (2.0 * tail_r) - 1.0)
             r = np.concatenate((r, tail_r))
             w = np.concatenate((w, tail_w))
             dw = np.concatenate((dw, tail_dw))
     w = np.maximum(w, 0.0)
 
+    # map to lam by w_lam(x) = lam^{1/(p-2)} w(sqrt(lam) x): the profile
+    # pointwise, its integrals by their exact powers of lam.  Integrating the
+    # mapped samples would round them anew, and the first Simpson pair, of
+    # spacings _R0 and about 9e-3, magnifies that rounding by their ratio
+    # (2e-13 relative for N = 1, where r^{N-1} does not vanish at r = 0)
+    height, sq = lam ** (1.0 / (p - 2.0)), sqrt(lam)
     area = _sphere_area(N)
     rpow = r ** (N - 1)
-    norm2 = float(np.sqrt(area * simpson(w**2 * rpow, x=r)))
-    normp = float((area * simpson(w**p * rpow, x=r)) ** (1.0 / p))
-    energy = float(area * simpson(dw**2 * rpow, x=r))
+    norm2 = float(np.sqrt(area * simpson(w**2 * rpow, x=r))) * (height * sq ** (-N / 2.0))
+    normp = float((area * simpson(w**p * rpow, x=r)) ** (1.0 / p)) * (height * sq ** (-N / p))
+    energy = float(area * simpson(dw**2 * rpow, x=r)) * (height**2 * sq ** (2.0 - N))
     c_inf = (p - 2.0) / (2.0 * p) * normp**p
     return GroundState(
-        N=N, p=p, lam=lam, u0=a_star, r=r, w=w, dw=dw,
+        N=N, p=p, lam=lam, u0=height * a_star, r=r / sq, w=height * w, dw=(height * sq) * dw,
         norm2=norm2, normp=normp, energy=energy, c_inf=c_inf,
     )
 
@@ -495,6 +503,7 @@ class ConditionReport:
     holds_Bprime: Optional[bool]
     holds_V: Optional[bool]
     lambda0_estimate: Optional[float]
+    lambda0_converged: Optional[bool]  # False: the estimate stopped at the iteration cap
     moment2: float
     boundary_mass: Optional[dict]  # of the lambda0 iterate, {"value", "tol"}
 
@@ -584,11 +593,12 @@ def condition_report(
         holds_V = bool(np.min(params.V.values) >= params.lam - 1e-12)
 
     lam0 = None
+    lam0_converged = None
     bmass = None
     if lambda0:
         g = grid if grid is not None else Grid(8.0, 65, dim=A.dim)
         res = minimize_constrained(A, params, g, mode="lambda0", max_iters=1500)
-        lam0 = res.value
+        lam0, lam0_converged = res.value, res.converged
         bmass = {"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL}
 
     return ConditionReport(
@@ -602,6 +612,7 @@ def condition_report(
         holds_Bprime=holds_Bprime,
         holds_V=holds_V,
         lambda0_estimate=lam0,
+        lambda0_converged=lam0_converged,
         moment2=float(mom2),
         boundary_mass=bmass,
     )

@@ -96,6 +96,9 @@ def test_functional_params_validation():
         FunctionalParams(p=6.5, lam=1.0, dim=3)  # 2* = 6 for N = 3
     with pytest.raises(ValueError, match="lam"):
         FunctionalParams(p=4.0, lam=0.0, dim=2)
+    for p in (np.nan, np.inf, 2.0):  # no dim: p must still be finite and above 2
+        with pytest.raises(ValueError, match="p must"):
+            FunctionalParams(p=p, lam=1.0)
     V3 = RealField(Grid(2.0, 5, dim=3), np.ones((5, 5, 5)))
     with pytest.raises(ValueError, match="p must"):
         FunctionalParams(p=7.0, lam=1.0, V=V3)
@@ -196,6 +199,13 @@ def test_lp_norms_gaussian():
     assert lp_norm(u, 4.0) == pytest.approx((np.pi / 2.0) ** 0.25, rel=1e-9)
     zero = ComplexField(g, np.zeros(g.shape, dtype=complex))
     assert lp_norm(zero, 2.0) == 0.0
+
+
+def test_lp_norm_validation():
+    u = bump(Grid(2.0, 9, dim=2), width=1.0)
+    for p in (np.nan, np.inf, 0.5):
+        with pytest.raises(ValueError, match="p must be finite and >= 1"):
+            lp_norm(u, p)
 
 
 def test_lp_norm_homogeneity():

@@ -52,34 +52,48 @@ def test_groundstate_subcommand(tmp_path):
     assert os.path.exists(out / "manifest.json")
 
 
-@pytest.mark.parametrize("flag, value", [("--rmax", "0.5"), ("--tol", "10")])
-def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys, flag, value):
-    # valid inputs whose profile fails its own Nehari check (residual 0.67
-    # and 0.065 against 1e-6): a numerical failure, not a success
+# N = 2, p = 2.01: a valid input whose profile fails its own Nehari check
+# (residual 4.0e-5 against 1e-6), at every lambda since the scaling keeps it
+NEHARI_FAILURE = ["--dim", "2", "--p", "2.01", "--lambda", "1"]
+
+
+def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys):
+    # a numerical failure, not a success
     out = tmp_path / "gs"
-    code = run(["groundstate", "--dim", "2", "--p", "4", "--lambda", "1", flag, value, "--out", str(out)])
+    code = run(["groundstate", *NEHARI_FAILURE, "--out", str(out)])
     assert code == 2
     doc = read_json(out / "diagnostic.json")
     assert doc["type"] == "RuntimeError"
-    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06; .*", doc["failure"])
-    assert found and float(found.group(1)) > 1e-2, doc["failure"]
-    assert not os.path.exists(out / "gs.json")
+    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06", doc["failure"])
+    assert found and float(found.group(1)) > 1e-6, doc["failure"]
+    assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
 
 
 @pytest.mark.parametrize("command", [["conditions"], ["landscape", "--R", "0"], ["solve", "--R", "0"]])
 def test_failed_nehari_check_exits_2_wherever_the_ground_state_is_shot(tmp_path, capsys, command):
-    # a decay length 1/sqrt(lambda) = 31.6 against the fixed r_max = 35: the
-    # profile is cut off where it still carries mass, and N = 3, p = 4,
-    # lambda = 1e-3 gives a residual of 0.42, so no command may take c_inf
-    # from that profile
+    # no command may take c_inf from a profile that fails its Nehari check
     out = tmp_path / "run"
-    code = run(command + ["--dim", "3", "--p", "4", "--lambda", "0.001", "--out", str(out)])
+    code = run(command + [*NEHARI_FAILURE, "--out", str(out)])
     assert code == 2
     doc = read_json(out / "diagnostic.json")
     assert doc["type"] == "RuntimeError"
-    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06; .*", doc["failure"])
-    assert found and float(found.group(1)) > 0.1, doc["failure"]
+    found = re.fullmatch(r"nehari_residual (\S+) exceeds its tol 1e-06", doc["failure"])
+    assert found and float(found.group(1)) > 1e-6, doc["failure"]
     assert sorted(os.listdir(out)) == ["diagnostic.json", "manifest.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["conditions", "--dim", "2", "--p", "4", "--lambda", "0.01"],
+        ["groundstate", "--dim", "3", "--p", "4", "--lambda", "0.001"],
+        ["groundstate", "--dim", "3", "--p", "4", "--lambda", "1e30"],
+    ],
+)
+def test_small_and_large_lambda_exit_0(tmp_path, argv):
+    # the unit shot scaled to lambda: these failed their Nehari check (0.0033
+    # and 0.42) or lost the shooting bracket when each lambda was shot
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
 
 
 def test_landscape_near_critical_exponent_exits_0(tmp_path, capsys):
@@ -110,6 +124,7 @@ def test_conditions_subcommand(tmp_path):
     assert doc["holds_A"] is True
     assert doc["holds_B"] is True
     assert doc["lambda0_estimate"] is not None
+    assert doc["lambda0_converged"] is True
 
 
 def test_landscape_subcommand(tmp_path):
@@ -438,9 +453,9 @@ def test_non_finite_lattice_input_exits_1(tmp_path, argv):
     assert "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("argv", [["--p", "2.001", "--lambda", "1000"], ["--p", "4", "--lambda", "1e100"]])
+@pytest.mark.parametrize("argv", [["--p", "2.001", "--lambda", "1000"], ["--p", "3", "--lambda", "1e200"]])
 def test_overflowing_ground_state_is_a_numerical_failure(tmp_path, argv):
-    # the shot overflows a Python float (OverflowError, ZeroDivisionError):
+    # the mapping to lambda overflows a Python float power (OverflowError):
     # exit 2 with the diagnostic and manifest, not a traceback
     proc = _cli(["groundstate", "--dim", "2", *argv], tmp_path)
     assert proc.returncode == 2
@@ -448,16 +463,6 @@ def test_overflowing_ground_state_is_a_numerical_failure(tmp_path, argv):
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
     assert sorted(os.listdir(tmp_path / "out")) == ["diagnostic.json", "manifest.json"]
     assert read_json(tmp_path / "out" / "diagnostic.json")["type"] == "RuntimeError"
-
-
-@pytest.mark.parametrize("flag, value", [("--rmax", "nan"), ("--rmax", "inf"), ("--rmax", "-5"), ("--tol", "nan"), ("--tol", "-1")])
-def test_groundstate_bad_rmax_or_tol_exits_1(tmp_path, capsys, flag, value):
-    # a validation error with one message of ours: solve_ivp never returns
-    # on a nan r_max or tol, and an infinite r_max raises an IndexError
-    code = run(["groundstate", "--dim", "2", flag, value, "--out", str(tmp_path / "out")])
-    assert code == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "must be finite" in err[0], err
 
 
 @pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--max-iters", "-3")])
@@ -558,6 +563,8 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("profiles", [{"amplitude": float("inf")}]),
         ("spreading", {"width": 0}),
         ("noise", {"amplitude": float("inf")}),
+        ("extract", {"rho": float("inf")}),
+        ("extract", {"rho": 0}),
     ],
     ids=[
         "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
@@ -565,7 +572,7 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         "tail-window-fraction", "seed-fraction", "window-radius-0", "window-radius-inf", "eps-mass-negative",
         "K-below-two-tail-windows", "tail-window-above-half-K", "width-negative", "width-0", "width-inf",
         "center-short", "wave-short", "trajectory-short", "center-long", "phase-inf", "wave-inf",
-        "amplitude-inf", "spreading-width-0", "noise-amplitude-inf",
+        "amplitude-inf", "spreading-width-0", "noise-amplitude-inf", "rho-inf", "rho-0",
     ],
 )
 def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):
@@ -585,6 +592,7 @@ def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section,
     assert run(["profiles", "--spec", str(path), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "rho" not in str(value) or "rho" in err[0], err
 
 
 def test_profiles_scalar_L_with_dim(tmp_path):
@@ -621,6 +629,8 @@ def test_os_error_exits_1(tmp_path, capsys, case):
         ["groundstate", "--n", "33"],
         ["groundstate", "--V", "const:v=2"],
         ["gauge", "--y", "1,2", "--tol", "1e-8"],
+        ["groundstate", "--rmax", "35"],
+        ["groundstate", "--tol", "1e-10"],
     ],
 )
 def test_unread_flags_rejected(tmp_path, capsys, argv):

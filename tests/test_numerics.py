@@ -15,16 +15,17 @@ from scipy.optimize import brentq as scipy_brentq
 import magnls
 from magnls._numerics import brentq, clamped_spline, simpson
 from magnls.calculus import Grid
-from magnls.solver import _R0, _final_mesh, _shot, radial_ground_state
+from magnls import solver
+from magnls.solver import _R0, _R_MAX, _SHOT_TOL, _final_mesh, _shot, radial_ground_state
 
 
-def _scipy_shot(a, N, p, lam, r_max, tol, floor, t_eval=None):
+def _scipy_shot(a, N, p, floor, t_eval=None, r_max=_R_MAX):
     """``solver._shot`` as it was written on scipy's ``solve_ivp``."""
-    c = (lam * a - a ** (p - 1)) / (2.0 * N)
+    c = (a - a ** (p - 1)) / (2.0 * N)
 
     def rhs(r, yv):
         u, du = yv
-        return [du, lam * u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
+        return [du, u - np.abs(u) ** (p - 2) * u - (N - 1) / r * du]
 
     def fell(r, yv):
         return yv[0] - floor
@@ -36,7 +37,7 @@ def _scipy_shot(a, N, p, lam, r_max, tol, floor, t_eval=None):
     fell.direction, turned.direction = -1.0, 1.0
     return scipy_solve_ivp(
         rhs, (_R0, r_max), [a + c * _R0**2, 2.0 * c * _R0], method="DOP853", t_eval=t_eval,
-        events=(fell, turned), rtol=tol, atol=tol * 1e-3, max_step=0.1 * r_max,
+        events=(fell, turned), rtol=_SHOT_TOL, atol=_SHOT_TOL * 1e-3, max_step=0.1 * r_max,
     )
 
 
@@ -46,23 +47,24 @@ def test_shots_match_scipy_dop853(N, request):
     # the final dense shot at u0; every stage sum is scipy's np.dot, so the
     # event radii and sampled values agree to the bit
     u0 = request.getfixturevalue(f"gs{N}").u0
-    mesh, _ = _final_mesh(u0, 4.0, 1.0, 35.0)
+    mesh, _ = _final_mesh(u0, 4.0)
     cases = [(u0 * (1.0 + d), 0.0, None) for d in (-1e-3, -1e-7, 1e-7, 1e-3)] + [(u0, 1e-12 * u0, mesh)]
     for a, floor, t_eval in cases:
-        ours = _shot(a, N, 4.0, 1.0, 35.0, 1e-10, floor, t_eval=t_eval)
-        ref = _scipy_shot(a, N, 4.0, 1.0, 35.0, 1e-10, floor, t_eval=t_eval)
+        ours = _shot(a, N, 4.0, floor, t_eval=t_eval)
+        ref = _scipy_shot(a, N, 4.0, floor, t_eval=t_eval)
         assert [e.tolist() for e in ours.t_events] == [e.tolist() for e in ref.t_events], a
         assert sum(e.size for e in ours.t_events) == 1
         assert ours.t.tobytes() == ref.t.tobytes()
         assert ours.y.tobytes() == ref.y.tobytes()
 
 
-def test_shot_without_event_runs_to_r_max(gs1):
+def test_shot_without_event_runs_to_r_max(gs1, monkeypatch):
     # the ground state's height neither crosses the floor nor turns back up
     # by r_max = 0.5: the run ends at r_max, where t_eval ends too
+    monkeypatch.setattr(solver, "_R_MAX", 0.5)
     for t_eval in (None, np.linspace(_R0, 0.5, 11)):
-        ours = _shot(gs1.u0, 1, 4.0, 1.0, 0.5, 1e-10, 0.0, t_eval=t_eval)
-        ref = _scipy_shot(gs1.u0, 1, 4.0, 1.0, 0.5, 1e-10, 0.0, t_eval=t_eval)
+        ours = _shot(gs1.u0, 1, 4.0, 0.0, t_eval=t_eval)
+        ref = _scipy_shot(gs1.u0, 1, 4.0, 0.0, t_eval=t_eval, r_max=0.5)
         assert [e.size for e in ours.t_events] == [0, 0]
         assert ours.t[-1] == 0.5
         assert ours.t.tobytes() == ref.t.tobytes() and ours.y.tobytes() == ref.y.tobytes()
