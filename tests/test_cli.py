@@ -57,10 +57,12 @@ def test_groundstate_subcommand(tmp_path):
 NEHARI_FAILURE = ["--dim", "2", "--p", "2.01", "--lambda", "1"]
 
 
-def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys):
-    # a numerical failure, not a success
+@pytest.mark.parametrize("p", ["2.01", "2.001"])
+def test_groundstate_failed_nehari_check_exits_2(tmp_path, capsys, p):
+    # a numerical failure, not a success: residual 4.0e-5 at p = 2.01 and
+    # 2.3e-4 at p = 2.001
     out = tmp_path / "gs"
-    code = run(["groundstate", *NEHARI_FAILURE, "--out", str(out)])
+    code = run(["groundstate", "--dim", "2", "--p", p, "--lambda", "1", "--out", str(out)])
     assert code == 2
     doc = read_json(out / "diagnostic.json")
     assert doc["type"] == "RuntimeError"

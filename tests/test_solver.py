@@ -205,6 +205,15 @@ def test_overflowing_shot_raises_runtime_error(p, lam):
         radial_ground_state(2, p, lam)
 
 
+@pytest.mark.parametrize("p, lam", [(4.0, 1e50), (4.0, 1e100)])
+def test_formerly_overflowing_lambda_scales(p, lam):
+    # these overflowed when each lambda was shot; the mapped unit shot
+    # gives c_inf = lam * 5.8504482200588 at N = 2, p = 4
+    gs = radial_ground_state(2, p, lam)
+    assert gs.c_inf == pytest.approx(5.8504482200588 * lam, rel=1e-13)
+    assert gs.nehari_residual() <= solver.NEHARI_TOL
+
+
 def test_ode_residual_of_shooting_profile(gs3):
     # substitute the profile into the radial equation away from the endpoints
     r, w, dw = gs3.r, gs3.w, gs3.dw
