@@ -8,6 +8,7 @@ boxes, and the sup-norm aggregate used by the linear gauge bound.
 
 from dataclasses import dataclass, field
 from functools import partial
+from numbers import Integral
 from typing import Callable, Optional
 
 import numpy as np
@@ -31,6 +32,12 @@ class PotentialField:
     values of the same shape.  ``jac_fn``, when present, returns the
     matrix J[..., m, n] = d_n A_m.  Evaluators are pure; they may be called
     concurrently.
+
+    ``zero_components`` holds the 0-based indices m with A_m = 0 (+0) on all
+    of R^N, so that every d_n A_m vanishes too.  The line integrals behind
+    phase tables, staircase phases and corrected potentials skip them, as
+    exact +0 terms.  The default declares nothing, and every component is
+    integrated.
     """
 
     dim: int
@@ -38,10 +45,15 @@ class PotentialField:
     jac_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
     tag: str = "custom"
     params: dict = field(default_factory=dict)
+    zero_components: frozenset = frozenset()
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
+        bad = [m for m in self.zero_components if not (isinstance(m, Integral) and 0 <= m < self.dim)]
+        if bad:
+            raise ValueError(f"zero_components {bad} are not component indices in range({self.dim})")
+        object.__setattr__(self, "zero_components", frozenset(int(m) for m in self.zero_components))
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -181,7 +193,7 @@ def _zero(dim: int) -> PotentialField:
     def jac(p):
         return np.zeros(p.shape[:-1] + (dim, dim))
 
-    return PotentialField(dim, ev, jac, tag="zero", params={})
+    return PotentialField(dim, ev, jac, tag="zero", params={}, zero_components=frozenset(range(dim)))
 
 
 def _landau(b: float, dim: int = 2) -> PotentialField:
@@ -199,7 +211,7 @@ def _landau(b: float, dim: int = 2) -> PotentialField:
         J[..., 1, 0] = b
         return J
 
-    return PotentialField(dim, ev, jac, tag="landau", params={"b": b})
+    return PotentialField(dim, ev, jac, tag="landau", params={"b": b}, zero_components=frozenset(range(dim)) - {1})
 
 
 def _symmetric(b: float, dim: int = 2) -> PotentialField:
@@ -219,7 +231,7 @@ def _symmetric(b: float, dim: int = 2) -> PotentialField:
         J[..., 1, 0] = 0.5 * b
         return J
 
-    return PotentialField(dim, ev, jac, tag="symmetric", params={"b": b})
+    return PotentialField(dim, ev, jac, tag="symmetric", params={"b": b}, zero_components=frozenset(range(2, dim)))
 
 
 def _gaussian_decay(b0: float, s: float = 1.0, dim: int = 2) -> PotentialField:
@@ -243,7 +255,8 @@ def _gaussian_decay(b0: float, s: float = 1.0, dim: int = 2) -> PotentialField:
             J[..., 1, n] = -2.0 * p[..., n] / s**2 * g
         return J
 
-    return PotentialField(dim, ev, jac, tag="gaussian_decay", params={"b0": b0, "s": s})
+    zero = frozenset(range(dim)) - {1}
+    return PotentialField(dim, ev, jac, tag="gaussian_decay", params={"b0": b0, "s": s}, zero_components=zero)
 
 
 def _lattice_periodic(b: float, period: float = 1.0, dim: int = 2) -> PotentialField:
@@ -270,7 +283,8 @@ def _lattice_periodic(b: float, period: float = 1.0, dim: int = 2) -> PotentialF
         J[..., 1, 0] = b * np.cos(k * p[..., 0])
         return J
 
-    return PotentialField(dim, ev, jac, tag="lattice_periodic", params={"b": b, "period": period})
+    zero = frozenset(range(dim)) - {1}
+    return PotentialField(dim, ev, jac, tag="lattice_periodic", params={"b": b, "period": period}, zero_components=zero)
 
 
 _BUILTINS = {

@@ -144,10 +144,13 @@ class GaugePhase:
 
 def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
     """phi_y on the tensor grid spanned by ``axes``: minus the staircase sum of
-    the cumulative axis-m integrals of A_m, broadcast to the full mesh."""
+    the cumulative axis-m integrals of A_m, broadcast to the full mesh.
+    Components the field declares zero add no term."""
     total = np.zeros(tuple(len(ax) for ax in axes))
     head = [np.array([yi]) for yi in y]
     for m in range(1, len(axes) + 1):
+        if m - 1 in A.zero_components:
+            continue
         total += _line_integrals(
             lambda pts, m=m: A(pts)[..., m - 1], head[: m - 1], axes[m - 1], axes[m:], float(y[m - 1])
         )
@@ -157,24 +160,25 @@ def _phase_values(A: PotentialField, y: np.ndarray, axes) -> np.ndarray:
 def _phase_tables(A: PotentialField, grid: Grid) -> list:
     """Per-axis cumulative integrals C_m(x) = int_{x_m^min}^{x_m} A_m(.., t, ..) dt on the grid.
 
-    C_1 is None where its table is +0 throughout, as for every built-in
-    field but ``symmetric`` (A_1 = 0): subtracting it changes no bit, so it
-    is neither kept nor subtracted, and the entry holds dim - 1 tables.
-    Cached on the grid per field until ``_drop_tables``.  The cached value
-    holds A, so its id cannot be reused while the entry lives; a build that
-    raises caches nothing.
+    The list holds ``dim`` entries, and C_m is None, never built, where the
+    field declares A_m zero (``PotentialField.zero_components``): its table
+    would be +0 throughout, and adding or subtracting it changes no bit.
+    Landau, gauss and periodic keep the one table C_2, ``symmetric`` keeps
+    C_1 and C_2, and ``zero`` keeps none.  Cached on the grid per field until
+    ``_drop_tables``.  The cached value holds A, so its id cannot be reused
+    while the entry lives; a build that raises caches nothing.
     """
 
     def build():
         axes = grid.axes
         tables = [
-            _line_integrals(
+            None
+            if m - 1 in A.zero_components
+            else _line_integrals(
                 lambda pts, m=m: A(pts)[..., m - 1], axes[: m - 1], axes[m - 1], axes[m:], float(axes[m - 1][0])
             )
             for m in range(1, grid.dim + 1)
         ]
-        if not (np.any(tables[0]) or np.any(np.signbit(tables[0]))):
-            tables[0] = None
         return A, tables
 
     return grid._cached(("phase_tables", id(A)), build)[1]
@@ -184,10 +188,11 @@ def _drop_tables(A: PotentialField, grid: Grid) -> None:
     """Forget the cached phase tables of A on the grid.
 
     Only ``make_shift`` and ``rephase_field`` read them, yet the cache keeps
-    them as long as the grid lives: ``dim`` grid arrays, or ``dim - 1`` where
-    C_1 is dropped (4.4 MB at 65^3 for landau), carried through a whole
-    Newton search on the same grid.  A caller done making shifts of A drops
-    them here; a later shift of A builds them again.
+    them as long as the grid lives: one grid array per component the field
+    does not declare zero (a single 2.2 MB table at 65^3 for landau),
+    carried through a whole Newton search on the same grid.  A caller done
+    making shifts of A drops them here; a later shift of A builds them
+    again.
     """
     getattr(grid, "_cache", {}).pop(("phase_tables", id(A)), None)
 
@@ -203,9 +208,10 @@ def _grid_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalizati
 
         C_1(y_1, x_>1) - sum_{m>=2} [C_m(y_<m, x_m, x_>m) - C_m(y_<=m, x_>m)].
 
-    The result then has shape (1, n_2, .., n_N) where the table C_1 is
-    dropped, and the grid's shape otherwise.  y = 0 (phase identically
-    zero), off-lattice y and y beyond the window give the whole grid.
+    A table that is None (a component the field declares zero) adds no
+    term.  The result then has shape (1, n_2, .., n_N) where C_1 is None,
+    and the grid's shape otherwise.  y = 0 (phase identically zero),
+    off-lattice y and y beyond the window give the whole grid.
     """
     C1 = None
     index = None if steps is None else tuple(grid.node_index(steps).tolist())
@@ -219,6 +225,8 @@ def _grid_phase(A: PotentialField, y: np.ndarray, steps, grid: Grid, normalizati
         if C1 is not None:
             total -= C1[index[0]]
         for m, Cm in enumerate(tables, start=2):
+            if Cm is None:
+                continue
             T = Cm[tuple(index[: m - 1])]
             total += (T - T[index[m - 1]]).reshape((1,) * (m - 1) + T.shape)
         phase = -total
@@ -286,6 +294,8 @@ def corrected_potential_samples(A: PotentialField, y, axes) -> np.ndarray:
                      - sum_{m<n} int_{y_m}^{x_m} d_n A_m(y_1..y_{m-1}, t, x_{m+1}..x_N) dt,
 
     which vanishes identically on the slab x_1 = y_1, ..., x_{n-1} = y_{n-1}.
+    The integral of d_n A_m is skipped where the field declares A_m zero,
+    so no 2-D built-in field but ``symmetric`` evaluates its jacobian here.
     """
     if not A.has_jacobian:
         raise ValueError("corrected_potential_samples needs a field with an analytic jacobian")
@@ -300,6 +310,8 @@ def corrected_potential_samples(A: PotentialField, y, axes) -> np.ndarray:
         pinned = A(_mesh_points([*head[: n - 1], *axes[n - 1:]]))[..., n - 1]
         comp = Avals[..., n - 1] - pinned
         for m in range(1, n):
+            if m - 1 in A.zero_components:
+                continue
             comp = comp - _line_integrals(
                 lambda pts, m=m, n=n: A.jacobian(pts)[..., m - 1, n - 1],
                 head[: m - 1],
@@ -406,8 +418,8 @@ def make_shift(
     only the factor is built: e^{i(theta + phi_y)} of the phase from
     ``_grid_phase``, for every field and every y, so it keeps the bits of
     the exponential of ``rephase_field``'s samples.  Where the phase does
-    not depend on x_1 (a tabled y of a field with A_1 = 0, as every
-    built-in field but ``symmetric``), only the (dim-1)-dimensional
+    not depend on x_1 (a tabled y of a field that declares A_1 zero, as
+    every built-in field but ``symmetric``), only the (dim-1)-dimensional
     exponential is taken and broadcast along axis 0.
     A y that is no lattice vector raises ``ValueError``.
     ``shift_apply`` and ``shift_invert`` raise ``MassLossError`` when a move

@@ -29,8 +29,9 @@ def gs3():
 def first_axis_field():
     """Builder of a field, in any dim >= 2, whose first component does not
     vanish: its phase tables keep a nonzero C_1, so its shift phases span the
-    whole grid, as for no built-in field but ``symmetric``.  It has no
-    jacobian."""
+    whole grid, as for no built-in field but ``symmetric``.  It declares no
+    zero components, so all dim tables are built, the zero C_3 of 3-D
+    among them, and it has no jacobian."""
 
     def build(dim):
         def ev(p):

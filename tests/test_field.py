@@ -189,6 +189,42 @@ def test_jacobian_consistency_all_builtins():
         assert errs[1] <= 0.3 * errs[0] + 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize(
+    "tag, kw, declared",
+    [
+        ("zero", {}, lambda dim: set(range(dim))),
+        ("landau", {"b": -0.7}, lambda dim: set(range(dim)) - {1}),
+        ("symmetric", {"b": -0.7}, lambda dim: set(range(2, dim))),
+        ("gaussian_decay", {"b0": 0.4, "s": 1.2}, lambda dim: set(range(dim)) - {1}),
+        ("lattice_periodic", {"b": -0.5, "period": 1.5}, lambda dim: set(range(dim)) - {1}),
+    ],
+)
+def test_declared_zero_components_are_exact_zeros(tag, kw, declared, dim):
+    # a declared component evaluates to +0 (no sign bit) and has an all-zero
+    # jacobian row, at points as far out as |x| = 1e3
+    A = field_library(tag, dim=dim, **kw)
+    assert A.zero_components == frozenset(declared(dim))
+    rng = np.random.default_rng(dim)
+    pts = rng.normal(size=(400, dim))
+    pts *= (10.0 ** rng.uniform(-3.0, 3.0, size=(400, 1))) / np.linalg.norm(pts, axis=-1, keepdims=True)
+    vals, jac = A(pts), A.jacobian(pts)
+    for m in A.zero_components:
+        assert np.all(vals[:, m] == 0.0) and not np.signbit(vals[:, m]).any(), m
+        assert np.all(jac[:, m, :] == 0.0), m
+
+
+def test_zero_components_validation():
+    def ev(p):
+        return np.zeros_like(p)
+
+    assert PotentialField(2, ev).zero_components == frozenset()
+    assert PotentialField(2, ev, zero_components={0, np.int64(1)}).zero_components == frozenset({0, 1})
+    for bad in ({2}, {-1}, {0.5}):
+        with pytest.raises(ValueError, match="zero_components"):
+            PotentialField(2, ev, zero_components=bad)
+
+
 def test_curl_of_samples_landau_exact():
     from magnls.calculus import Grid
 

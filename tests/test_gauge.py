@@ -354,6 +354,42 @@ def test_shift_factor_matches_full_exponential(name, dim, first_axis_field):
     C1, *rest = gauge._phase_tables(A, grid)
     assert len(rest) == dim - 1
     assert (C1 is None) == (name not in ("symmetric", "custom"))
+    assert [C is None for C in rest] == [m in A.zero_components for m in range(1, dim)]
+
+
+BUILTINS = dict(TABLE_FIELDS, zero=dict(tag="zero"))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_declared_zero_components_change_no_bit(name, dim):
+    # a twin that declares nothing integrates every component; skipping the
+    # declared ones must leave every phase, factor and potential bit-identical
+    spec = dict(BUILTINS[name])
+    A = field_library(spec.pop("tag"), dim=dim, **spec)
+    twin = PotentialField(A.dim, A.eval_fn, A.jac_fn)
+    assert twin.zero_components == frozenset()
+    grid = Grid(2.0, 33 if dim == 2 else 13, dim=dim)
+    cases = [(3, -5, 1), (-16, 16, 6), (0, 4, 0), (5, 0, -3), (0, 0, 0), (40, 3, -2)]
+    for k, theta, normalization in itertools.product(cases, (0.0, 0.7), ("at_base", "at_half")):
+        y = np.array(k[:dim]) * np.array(grid.h)
+        factors = [make_shift(F, y, grid, theta, normalization, max_loss=1.0).factor for F in (A, twin)]
+        assert factors[0].tobytes() == factors[1].tobytes(), (k, theta, normalization)
+        phases = [rephase_field(F, y, grid, normalization).samples.values for F in (A, twin)]
+        assert phases[0].tobytes() == phases[1].tobytes(), (k, theta, normalization)
+    y = np.array([0.3, -0.45, 0.2][:dim])  # off the lattice
+    assert _phase_values(A, y, grid.axes).tobytes() == _phase_values(twin, y, grid.axes).tobytes()
+    # every first piece from y_m down to the window's edge runs backwards
+    y = np.array([0.5, -0.25, 0.125][:dim])
+    assert all(y[m] > grid.axes[m][0] for m in range(dim))
+    direct, twin_direct = (corrected_potential_samples(F, y, grid.axes) for F in (A, twin))
+    assert direct.tobytes() == twin_direct.tobytes()
+    moving, twin_moving = (shifted_corrected_samples(F, y, grid) for F in (A, twin))
+    assert moving.tobytes() == twin_moving.tobytes()
+    window = Grid(2.0, 17 if dim == 2 else 9, dim=dim)
+    traj = [np.array([1.5 * k, -0.5 * k, 0.25 * k][:dim]) for k in range(1, 5)]
+    (last, report), (twin_last, twin_report) = (potential_at_infinity(F, traj, window) for F in (A, twin))
+    assert last.tobytes() == twin_last.tobytes() and report == twin_report
 
 
 def test_make_shift_splits_the_phase_once(monkeypatch):
@@ -379,6 +415,43 @@ def test_make_shift_splits_the_phase_once(monkeypatch):
     g = make_shift(A, np.array([40, 3]) * np.array(grid.h), grid, theta=0.7, max_loss=1.0)
     assert calls == {"quadrature": 1, "rephase": 0}
     assert g.factor.tobytes() == np.exp(1j * (0.7 + rephase(A, g.y, grid).samples.values)).tobytes()
+
+
+def test_corrected_potential_skips_declared_jacobian_integrals(monkeypatch):
+    # A_1 = 0 for the gaussian field, so the one integral of d_2 A_1 is skipped
+    calls = []
+    jacobian = PotentialField.jacobian
+
+    def counted(self, points):
+        calls.append(1)
+        return jacobian(self, points)
+
+    monkeypatch.setattr(PotentialField, "jacobian", counted)
+    A = field_library("gaussian_decay", b0=0.5, s=1.0)
+    grid = Grid(2.0, 33, dim=2)
+    corrected_potential_samples(A, (0.5, -0.25), grid.axes)
+    assert calls == []
+    # its twin, which declares nothing, integrates d_2 A_1 = 0
+    corrected_potential_samples(PotentialField(2, A.eval_fn, A.jac_fn), (0.5, -0.25), grid.axes)
+    assert calls
+
+
+@pytest.mark.parametrize(
+    "tag, dim, built", [("landau", 3, [False, True, False]), ("symmetric", 2, [True, True])]
+)
+def test_phase_tables_build_only_undeclared_components(tag, dim, built, monkeypatch):
+    calls = []
+    line_integrals = gauge._line_integrals
+
+    def counted(*args):
+        calls.append(1)
+        return line_integrals(*args)
+
+    monkeypatch.setattr(gauge, "_line_integrals", counted)
+    A = field_library(tag, b=0.5, dim=dim)
+    tables = gauge._phase_tables(A, Grid(2.0, 13, dim=dim))
+    assert [C is not None for C in tables] == built
+    assert len(calls) == sum(built)
 
 
 def test_surface_scan_tests_each_point_once(gs2, monkeypatch):
