@@ -260,17 +260,24 @@ class PreparedPotential:
     """The edge coefficients a = 1/h + i A(mid)/2 of S for one potential on one grid.
 
     The coefficient b = conj(a) of u_- is not stored: it is taken as
-    ``np.conj(a)`` where it is used.  Prepare once and reuse inside iteration
-    loops; all calculus operators accept a PotentialField, raw node samples
-    (dim, *shape), or this.
+    ``np.conj(a)`` where it is used.  An axis whose component is declared
+    zero (``edge_A[m]`` is None) keeps the real scalar 1/h, broadcast
+    read-only to its edge mesh: as a complex number it has the bits of
+    1/h + 0.5j * (+0), so no result changes, and the axis holds no array.
+    Prepare once and reuse inside iteration loops; all calculus operators
+    accept a PotentialField, raw node samples (dim, *shape), or this.
     """
 
     def __init__(self, grid: Grid, edge_A: list):
         self.grid = grid
         # S_m u = a_m u_+ - conj(a_m) u_- on the n_m + 1 axis-m edges (the outer
         # two reach the zero ghosts); edge_A[m] is component m at their
-        # midpoints.  This line is the only one that knows the edge rule.
-        self.a = [1.0 / h + 0.5j * Am for h, Am in zip(grid.h, edge_A)]
+        # midpoints, or None for A_m = +0.  This line is the only one that
+        # knows the edge rule.
+        self.a = [
+            np.broadcast_to(1.0 / h, _mid_shape(grid, m)) if Am is None else 1.0 / h + 0.5j * Am
+            for m, (h, Am) in enumerate(zip(grid.h, edge_A))
+        ]
 
     @cached_property
     def stencil(self):
@@ -295,14 +302,20 @@ class PreparedPotential:
 
 def prepare_potential(A, grid: Grid) -> "PreparedPotential":
     """Sample A once for ``grid`` at the edge midpoints: evaluators through ``on_axes``
-    (one mesh per axis), raw node arrays by ``_edge_mean`` with boundary-copy ghosts."""
+    (one mesh per axis), raw node arrays by ``_edge_mean`` with boundary-copy ghosts.
+
+    An evaluator is not called on the mesh of a component it declares zero
+    (``PotentialField.zero_components``); that axis keeps the real 1/h."""
     if isinstance(A, PreparedPotential):
         if A.grid.shape != grid.shape:
             raise ValueError("prepared potential belongs to a different grid")
         return A
     on_axes = getattr(A, "on_axes", None)
     if on_axes is not None:
-        return PreparedPotential(grid, [on_axes(_midpoint_axes(grid, m))[m] for m in range(grid.dim)])
+        zero = getattr(A, "zero_components", frozenset())
+        return PreparedPotential(
+            grid, [None if m in zero else on_axes(_midpoint_axes(grid, m))[m] for m in range(grid.dim)]
+        )
     arr = np.asarray(A, dtype=float)
     if arr.shape != (grid.dim,) + grid.shape:
         raise ValueError(f"potential samples shape {arr.shape}, expected {(grid.dim,) + grid.shape}")
@@ -310,8 +323,8 @@ def prepare_potential(A, grid: Grid) -> "PreparedPotential":
 
 
 def _free(grid: Grid) -> "PreparedPotential":
-    """The zero field prepared for ``grid``: zero samples on every axis's edge-midpoint mesh."""
-    return PreparedPotential(grid, [np.zeros(_mid_measure(grid, m).shape) for m in range(grid.dim)])
+    """The zero field prepared for ``grid``: every component declared zero, every coefficient the real 1/h."""
+    return PreparedPotential(grid, [None] * grid.dim)
 
 
 def staggered_gradient(u: ComplexField, A) -> list:
@@ -339,6 +352,11 @@ def _edge_mean(vals: np.ndarray, m: int, mode: str = "constant") -> np.ndarray:
     return 0.5 * (padded[_along(vals.ndim, m, slice(1, None))] + padded[_along(vals.ndim, m, slice(0, -1))])
 
 
+def _mid_shape(grid: Grid, m: int) -> tuple:
+    """Shape of the axis-m midpoint mesh: n_m + 1 along m, n across."""
+    return tuple(ni + 1 if ax == m else ni for ax, ni in enumerate(grid.n))
+
+
 def _mid_measure(grid: Grid, m: int) -> np.ndarray:
     """Quadrature measure on the axis-m midpoint mesh: h_m along m, trapezoid across."""
 
@@ -352,8 +370,7 @@ def _mid_measure(grid: Grid, m: int) -> np.ndarray:
                 wi[0] *= 0.5
                 wi[-1] *= 0.5
             w = np.multiply.outer(w, wi)
-        shape = tuple(ni + 1 if ax == m else ni for ax, ni in enumerate(grid.n))
-        return w.reshape(shape)
+        return w.reshape(_mid_shape(grid, m))
 
     return grid._cached(("mid_measure", m), build)
 
@@ -405,8 +422,9 @@ def _edge_energy(G: list, grid: Grid) -> float:
 
 
 def _v_samples(params: FunctionalParams, grid: Grid) -> np.ndarray:
+    """V on the nodes: the sampled potential, or the constant lam as a read-only broadcast view."""
     if params.V is None:
-        return np.full(grid.shape, params.lam)
+        return np.broadcast_to(params.lam, grid.shape)
     if params.V.grid.shape != grid.shape:
         raise ValueError("V sampled on a different grid")
     return params.V.values

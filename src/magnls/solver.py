@@ -943,11 +943,11 @@ def _linearized_operator(u_vals, prep, Vvals, p, W):
 
     L v = S^*S v + (V - |u|^{p-2}) v - (p-2) |u|^{p-4} u Re(conj(u) v), with
     S^*S from the prepared stencil; self-adjoint in the W inner product.  The
-    local arrays are built once per u.
+    local arrays are built once per u; conj(u) is not kept, but formed inside
+    each apply.
     """
     s = np.abs(u_vals)
     local = Vvals - s ** (p - 2.0)
-    cu = np.conj(u_vals)
     mask = s > 0
     sp4u = np.zeros_like(u_vals)
     # (p-2) |u|^{p-4} u, written via |u|^{p-3} * (u/|u|) to stay finite near zero
@@ -958,7 +958,7 @@ def _linearized_operator(u_vals, prep, Vvals, p, W):
         out = _stencil_apply(v_vals, stencil)
         out /= W
         out += local * v_vals
-        out -= sp4u * np.real(cu * v_vals)
+        out -= sp4u * np.real(np.conj(u_vals) * v_vals)
         return out
 
     return apply
@@ -990,6 +990,7 @@ def minres(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     Unlike scipy's, every inner product and norm of a full
     vector is ``_dot``, so no reduction goes to threaded BLAS, and the
     vector updates run in scipy's operation order on preallocated buffers.
+    The float vector b is one of those buffers: it is overwritten, not copied.
     """
     matvec = A.matvec
     psolve = M.matvec
@@ -997,7 +998,7 @@ def minres(A, b: np.ndarray, *, rtol: float, maxiter: int, M):
     eps = np.finfo(float).eps
 
     x = np.zeros(n)
-    r1 = np.array(b, dtype=float)
+    r1 = b
     y = psolve(r1)
     beta1 = _dot(r1, y)
     if beta1 < 0:
@@ -1154,11 +1155,16 @@ def critical_point_search(
     While MINRES runs, the search keeps only what that solve and its Newton
     step read: u and its residual, the prepared potential, V, W and sqrt(W),
     the preconditioner's tables and the linearized operator's local terms.
-    The gradient is formed after MINRES returns; a step's MINRES solution,
-    direction and line-search candidates live in ``newton_step`` and die with
-    it; the seed is copied once and not kept.  Kept alive instead, the
-    previous step's solution and direction and a gradient formed before
-    MINRES would be three complex arrays (13 MB at 65^3) in every solve.
+    Of these, an axis whose potential component the field declares zero
+    holds no coefficient array (a broadcast 1/h, and a real coupling), and a
+    constant V is a broadcast view of lam.  MINRES overwrites its right-hand
+    side instead of copying it, and the operator forms conj(u) inside each
+    apply instead of keeping it.  The gradient is formed after MINRES
+    returns; a step's MINRES solution, direction and line-search candidates
+    live in ``newton_step`` and die with it; the seed is copied once and not
+    kept.  Kept alive instead, the previous step's solution and direction
+    and a gradient formed before MINRES would be three complex arrays (13 MB
+    at 65^3) in every solve.
     """
     _check_search_limits(tol, max_iters)
     grid = seed.grid

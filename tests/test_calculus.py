@@ -480,13 +480,13 @@ def test_prepare_potential_node_samples_ghost_rule(shape):
 @pytest.mark.parametrize("g", [Grid(3.0, 7), Grid((4.0, 3.0), (9, 7)), Grid((4.0, 3.0, 2.0), (9, 7, 5))])
 def test_free_matches_prepared_zero_field(g):
     # the one zero-field builder gives the coefficients a zero evaluator and
-    # zero node samples give, bit for bit
+    # zero node samples give, bit for bit as complex numbers: the declared
+    # components keep the real 1/h, the node samples the complex 1/h + 0j
     free = _free(g)
     for A in (field_library("zero", dim=g.dim), np.zeros((g.dim,) + g.shape)):
         prep = prepare_potential(A, g)
         for m in range(g.dim):
-            assert free.a[m].dtype == prep.a[m].dtype
-            assert free.a[m].tobytes() == prep.a[m].tobytes()
+            assert np.asarray(free.a[m], complex).tobytes() == np.asarray(prep.a[m], complex).tobytes()
 
 
 def test_staggered_gradient_matches_hand_built_edges():
@@ -519,8 +519,20 @@ def test_prepare_potential_samples_only_edge_midpoints():
     prepare_potential(PotentialField(3, ev, A.jac_fn), g)
     assert len(meshes) == g.dim
     for m, pts in enumerate(meshes):
-        axes = list(g.axes)
-        axes[m] = -g.extents[m] - 0.5 * g.h[m] + g.h[m] * np.arange(g.n[m] + 1)
-        expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-        assert pts.shape == expected.shape
-        assert np.allclose(pts, expected, rtol=0, atol=1e-12)
+        _assert_edge_mesh(g, m, pts)
+    # a field that declares components zero is not read on their meshes
+    meshes.clear()
+    prepare_potential(PotentialField(3, ev, A.jac_fn, zero_components=A.zero_components), g)
+    assert A.zero_components == {2}
+    assert len(meshes) == g.dim - len(A.zero_components)
+    for m, pts in zip((0, 1), meshes):
+        _assert_edge_mesh(g, m, pts)
+
+
+def _assert_edge_mesh(g, m, pts):
+    """``pts`` is the node mesh of ``g`` with axis m replaced by its edge midpoints."""
+    axes = list(g.axes)
+    axes[m] = -g.extents[m] - 0.5 * g.h[m] + g.h[m] * np.arange(g.n[m] + 1)
+    expected = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    assert pts.shape == expected.shape
+    assert np.allclose(pts, expected, rtol=0, atol=1e-12)

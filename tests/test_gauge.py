@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magnls.calculus import FunctionalParams, Grid, bump, energy_EA, prepare_potential
+from magnls.calculus import (
+    ComplexField,
+    FunctionalParams,
+    Grid,
+    _edge_values,
+    _stencil_apply,
+    bump,
+    el_residual,
+    energy_EA,
+    prepare_potential,
+)
 from magnls.field import PotentialField, _mesh_points, curl, curl_of_samples, field_library
 from magnls import gauge
 from magnls.gauge import (
@@ -390,6 +400,25 @@ def test_declared_zero_components_change_no_bit(name, dim):
     traj = [np.array([1.5 * k, -0.5 * k, 0.25 * k][:dim]) for k in range(1, 5)]
     (last, report), (twin_last, twin_report) = (potential_at_infinity(F, traj, window) for F in (A, twin))
     assert last.tobytes() == twin_last.tobytes() and report == twin_report
+    # prepared on the grid, a declared component is the real 1/h broadcast to
+    # its edge mesh, and every edge value, stencil, energy and residual keeps
+    # its bits
+    prep, twin_prep = prepare_potential(A, grid), prepare_potential(twin, grid)
+    for m in range(dim):
+        declared = m in A.zero_components
+        assert prep.a[m].shape == twin_prep.a[m].shape
+        assert prep.a[m].dtype == (float if declared else complex)
+        assert (prep.a[m].strides == (0,) * dim) == declared
+    rng = np.random.default_rng(dim)
+    params = FunctionalParams(p=4.0, lam=1.0, dim=dim)
+    for vals in (rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape), bump(grid, width=0.8).values):
+        edges, twin_edges = _edge_values(vals, prep), _edge_values(vals, twin_prep)
+        assert [G.tobytes() for G in edges] == [G.tobytes() for G in twin_edges]
+        assert _stencil_apply(vals, prep.stencil).tobytes() == _stencil_apply(vals, twin_prep.stencil).tobytes()
+        u = ComplexField(grid, vals)
+        assert energy_EA(u, A) == energy_EA(u, twin)
+        (r, norm), (twin_r, twin_norm) = (el_residual(u, F, params) for F in (A, twin))
+        assert r.values.tobytes() == twin_r.values.tobytes() and norm == twin_norm
 
 
 def test_make_shift_splits_the_phase_once(monkeypatch):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from magnls.solver import (
 )
 
 PARAMS2 = FunctionalParams(p=4.0, lam=1.0, dim=2)
+PARAMS3 = FunctionalParams(p=4.0, lam=1.0, dim=3)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +625,33 @@ def test_search_reports_stall_without_exception():
     assert sum(1 for info in res.minres_info if info != 0) > 0
 
 
+def test_search_3d_newton_step_memory(monkeypatch):
+    # one Newton step of a 3-D landau search, traced in complex node arrays:
+    # 11.5 are held when MINRES starts, and the peak inside it is 22.7.  A
+    # full-grid array kept through the solve (a real one counts half) breaks
+    # the first bound, a copy of MINRES's right-hand side the second; the
+    # headroom is for other numpy and scipy releases
+    grid = Grid(6.0, 33, dim=3)
+    unit = 16 * np.prod(grid.shape)
+    seed = bump(grid, width=1.0)
+    held = []
+
+    def recorded(A, b, **kwargs):
+        held.append(tracemalloc.get_traced_memory()[0] / unit)
+        return minres(A, b, **kwargs)
+
+    monkeypatch.setattr(solver, "minres", recorded)
+    tracemalloc.start()
+    try:
+        res = critical_point_search(field_library("landau", b=0.5, dim=3), PARAMS3, seed, max_iters=1)
+        peak = tracemalloc.get_traced_memory()[1] / unit
+    finally:
+        tracemalloc.stop()
+    assert res.iterations == 1 and res.minres_info == [0]
+    assert held[0] <= 11.75
+    assert peak <= 23.5
+
+
 # ---------------------------------------------------------------------------
 # MINRES preconditioner of the search
 # ---------------------------------------------------------------------------
@@ -804,11 +833,11 @@ def _counted(matrix):
 
 
 def _both_minres(A, b, M, **kwargs):
-    """(x, info, matvecs) from scipy's minres and from ``solver.minres``."""
+    """(x, info, matvecs) from scipy's minres and from ``solver.minres``, which overwrites its b."""
     out = []
     for solve in (scipy_minres, minres):
         op, calls = _counted(A)
-        x, info = solve(op, b, M=M, **kwargs)
+        x, info = solve(op, b.copy(), M=M, **kwargs)
         out.append((x, info, len(calls)))
     return out
 
