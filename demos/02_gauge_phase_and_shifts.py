@@ -31,7 +31,7 @@ i = np.argmin(np.abs(grid.axes[0] - 3.0))
 j = np.argmin(np.abs(grid.axes[1] - 5.0))
 print("  quadrature:", phase.samples.values[i, j], " closed form:", -3.0)
 
-cp = corrected_potential(A, phase, grid)
+cp = corrected_potential(A, phase)
 print("corrected potential A_y = A + grad(phi):")
 print("  sup |(A_y)_1| =", np.max(np.abs(cp.samples[0])), " (vanishes identically)")
 print("  A_y at the base point:", cp.samples[:, i, j], "at x=(3,5):", 1.0 * (3.0 - 1.0))

@@ -26,11 +26,15 @@ print("  sup |w - sqrt(2) sech| =", np.max(np.abs(gs1.w - np.sqrt(2) / np.cosh(g
 print("conditions on the field (2D ground state):")
 gs2 = radial_ground_state(2, 4.0, 1.0)
 params = FunctionalParams(p=4.0, lam=1.0, dim=2)
+# a small grid: the probes' moving frames are sampled on it, B over its box
+# [-2, 2]^2, which holds the largest |B| of both fields, and the report's
+# lambda0 (not read here) is estimated on it
+probe = Grid(2.0, 9, dim=2)
 for b in (0.3, 0.9):
-    rep = condition_report(field_library("landau", b=b), gs2, params)
+    rep = condition_report(field_library("landau", b=b), gs2, params, probe)
     print(f"  landau b={b}: sigma = {rep.sigma:.4f}, smallness holds: {rep.holds_B} "
           f"(threshold b = {rep.threshold_B:.4f}), vanishes at infinity: {rep.holds_A}")
-rep = condition_report(field_library("gaussian_decay", b0=0.4, s=1.0), gs2, params)
+rep = condition_report(field_library("gaussian_decay", b0=0.4, s=1.0), gs2, params, probe)
 print(f"  decaying field: sigma = {rep.sigma:.4f}, vanishes at infinity: {rep.holds_A}")
 
 print("constrained minimization vs the shooting value (2D):")

@@ -54,10 +54,11 @@ print("  energy superadditivity:", rep["energy_slack"], ">= 0 up to rounding")
 print("  remainder |r_k|_p     :", ["%.1e" % v for v in rep["remainder_lp"]])
 
 # A sequence that spreads instead of concentrating yields no moving terms
-spread = SyntheticSpec(profiles=[], spreading_amplitude=1.0, spreading_width=1.0)
+zero = field_library("zero")
+spread = SyntheticSpec(profiles=[], field=zero, spreading_amplitude=1.0, spreading_width=1.0)
 g2 = Grid(12.0, 193, dim=2)
 seq2, _ = synthesize_sequence(spread, g2, K=8)
 print("spreading sequence |u_k|_4:", ["%.3f" % lp_norm(u, 4.0) for u in seq2])
-dec2 = extract_profiles(seq2, None, Discretization.cubic(g2, rho=1.0),
+dec2 = extract_profiles(seq2, zero, Discretization.cubic(g2, rho=1.0),
                         ExtractOpts(eps_mass=5e-3, tail_window=3, window_radius=6.0))
 print("moving terms extracted:", sum(1 for t in dec2.terms if t.index > 0))

@@ -150,11 +150,9 @@ def _outdir(args) -> str:
     return out
 
 
-def _manifest(args, out: str, extra=None) -> None:
+def _manifest(args, out: str) -> None:
     doc = {k: v for k, v in vars(args).items() if k != "func"}
     doc["version"] = 1
-    if extra:
-        doc.update(extra)
     mio.write_json(doc, os.path.join(out, "manifest.json"))
 
 
@@ -164,7 +162,7 @@ def _run_gauge(args) -> int:
     A = parse_field_spec(args.field, dim=args.dim)
     y = _parse_point(args.y, args.dim)
     phase = rephase_field(A, y, grid, normalization=args.normalization)
-    cp = corrected_potential(A, phase, grid)
+    cp = corrected_potential(A, phase)
     B = curl(A, tuple((-L, L) for L in grid.extents), min(grid.n))
     bound = linear_bound_check(cp, B)
 
@@ -231,7 +229,7 @@ def _run_conditions(args) -> int:
     A = parse_field_spec(args.field, dim=args.dim)
     params = _functional_params(args, grid)
     gs = radial_ground_state(args.dim, args.p, args.lam)
-    rep = condition_report(A, gs, params, window=max(grid.extents), grid=grid, lambda0=True)
+    rep = condition_report(A, gs, params, grid)
     doc = asdict(rep)
     doc["tolerances"] = {"vanishing_at_infinity": VANISHING_TOL}
     mio.write_json(doc, os.path.join(out, "conditions.json"))
@@ -361,11 +359,12 @@ def _read_profiles_spec(text: str):
         )
     noise = _spec_section(doc.get("noise", {}), "noise", ("amplitude", "decay", "seed"))
     spreading = _spec_section(doc.get("spreading", {}), "spreading", ("amplitude", "width"))
-    if not isinstance(doc.get("field", ""), str):
+    field = doc.get("field", "zero")
+    if not isinstance(field, str):
         raise ValueError("spec field must be a field specification string")
     spec = SyntheticSpec(
         profiles=shapes,
-        field=parse_field_spec(doc["field"], dim=dim) if "field" in doc else None,
+        field=parse_field_spec(field, dim=dim),
         noise_amplitude=finite(float(noise.get("amplitude", 0.0)), "noise amplitude"),
         noise_decay=finite(float(noise.get("decay", 0.1)), "noise decay"),
         noise_seed=_whole(noise.get("seed", 0)),

@@ -330,8 +330,8 @@ def _phase_gradient(phase: GaugePhase) -> np.ndarray:
     return np.stack([_sample_derivative(vals, axis, grid.h[axis]) for axis in range(grid.dim)])
 
 
-def corrected_potential(A: PotentialField, phase: GaugePhase, grid: Grid) -> CorrectedPotential:
-    """Sample A_y on the grid.
+def corrected_potential(A: PotentialField, phase: GaugePhase) -> CorrectedPotential:
+    """Sample A_y on the grid the phase was sampled on.
 
     A field with an analytic jacobian uses the closed formula
     (``corrected_potential_samples``, construction ``direct_formula``); any
@@ -339,13 +339,12 @@ def corrected_potential(A: PotentialField, phase: GaugePhase, grid: Grid) -> Cor
     (``grad_of_phase``).  ``construction`` on the result records which ran.
     """
     y = phase.base_point
+    grid = phase.samples.grid
     if A.has_jacobian:
         construction = "direct_formula"
         samples = corrected_potential_samples(A, y, grid.axes)
     else:
         construction = "grad_of_phase"
-        if phase.samples.grid.shape != grid.shape:
-            raise ValueError("phase sampled on a different grid")
         Avals = np.moveaxis(A(grid.nodes()), -1, 0)
         samples = Avals + _phase_gradient(phase)
     return CorrectedPotential(base_point=y, grid=grid, samples=samples, construction=construction)

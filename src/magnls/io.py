@@ -16,7 +16,7 @@ import json
 
 import numpy as np
 
-from .calculus import Grid, RealField
+from .calculus import Grid
 
 __all__ = [
     "grid_header",
@@ -70,7 +70,7 @@ def _coord_names(grid: Grid) -> list:
 def field_to_csv(field, path: str) -> None:
     """Node coordinates plus re/im columns (a single value column for real fields)."""
     vals = field.values
-    if isinstance(field, RealField) or not np.iscomplexobj(vals):
+    if not np.iscomplexobj(vals):
         names, columns = ["value"], [np.real(vals)]
     else:
         names, columns = ["re", "im"], [vals.real, vals.imag]

@@ -24,7 +24,7 @@ from .calculus import (
     lp_norm,
     prepare_potential,
 )
-from .field import PotentialField, _mesh_points, field_library
+from .field import PotentialField, _mesh_points
 from .gauge import make_shift, potential_at_infinity, shift_apply, shift_invert, shifted_corrected_samples
 
 __all__ = [
@@ -144,7 +144,7 @@ class ProfileSpec:
 @dataclass
 class SyntheticSpec:
     profiles: list
-    field: Optional[PotentialField] = None
+    field: PotentialField
     noise_amplitude: float = 0.0
     noise_decay: float = 0.1
     noise_seed: int = 0
@@ -158,8 +158,9 @@ def _profile_field(spec: ProfileSpec, grid: Grid) -> ComplexField:
 
 
 def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int):
-    """Build u_0..u_{K-1} as planted profiles under magnetic shifts plus
-    decaying noise and an optional spreading (mass-escaping) term.
+    """Build u_0..u_{K-1} as planted profiles under the magnetic shifts of
+    ``spec.field`` plus decaying noise and an optional spreading
+    (mass-escaping) term.
 
     The shifts use ``make_shift``'s defaults: quadrature tolerance 1e-10 and
     an allowed boundary-mass loss of 1e-6.
@@ -169,8 +170,6 @@ def synthesize_sequence(spec: SyntheticSpec, grid: Grid, K: int):
     out of the window before step K.
     """
     A = spec.field
-    if A is None:
-        A = field_library("zero", dim=grid.dim)
     dim = grid.dim
     truth = {"profiles": [], "trajectories": []}
     base_fields = []
@@ -261,6 +260,8 @@ class ExtractOpts:
             value = getattr(self, name)
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not (np.isfinite(self.agree_tol) and self.agree_tol >= 0):
+            raise ValueError(f"agree_tol must be finite and >= 0, got {self.agree_tol}")
 
 
 def _tail_average(fields: list, grid: Grid, wmask: np.ndarray) -> ComplexField:
@@ -287,7 +288,7 @@ def _half_tail_agreement(fields: list, grid: Grid, wmask: np.ndarray):
 
 def extract_profiles(
     seq: list,
-    A: Optional[PotentialField],
+    A: PotentialField,
     xi: Discretization,
     opts: Optional[ExtractOpts] = None,
 ) -> Decomposition:
@@ -302,8 +303,8 @@ def extract_profiles(
     remainder's dominant mass with the lattice scan, inverts the magnetic
     shift along that trajectory, tail-averages, windows the result, and
     subtracts its shifted copies from every remainder.  Stops when the tail's local mass drops
-    below eps_mass or the trajectory fails to diverge.  ``A=None`` means the
-    zero field, under which every shift is a plain translation.
+    below eps_mass or the trajectory fails to diverge.  Under the zero field
+    every shift is a plain translation.
     """
     opts = opts or ExtractOpts()
     K = len(seq)
@@ -311,8 +312,6 @@ def extract_profiles(
         raise ValueError(f"need at least {2 * opts.tail_window} steps, got {K}")
     grid = seq[0].grid
     dim = grid.dim
-    if A is None:
-        A = field_library("zero", dim=dim)
     warnings_list = []
     pts = grid.nodes()
     wmask = np.sum(pts**2, axis=-1) <= opts.window_radius**2
@@ -418,7 +417,7 @@ def extract_profiles(
 def verify_decomposition(
     dec: Decomposition,
     seq: list,
-    A: Optional[PotentialField],
+    A: PotentialField,
     params,
 ) -> dict:
     """Check the identities a valid decomposition must satisfy.
@@ -428,13 +427,10 @@ def verify_decomposition(
     own potential at infinity A_y(. + y), y the last point of its
     trajectory) may only fall short, never exceed, by more than
     the tolerance 1e-6.  Pairwise trajectory separations must grow.
-    ``A=None`` means the zero field.
     """
     tol = 1e-6
     K = len(seq)
     grid = seq[0].grid
-    if A is None:
-        A = field_library("zero", dim=grid.dim)
     p = params.p
     uK = seq[-1]
     mass_seq = lp_norm(uK, p) ** p

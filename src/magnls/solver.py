@@ -367,13 +367,15 @@ def _centroid(u: ComplexField) -> np.ndarray:
     return np.array([float(np.sum(pts[..., i] * dens)) / total for i in range(u.grid.dim)])
 
 
+_STALL_TOL = 1e-6  # the minimizer's stop test on the relative projected gradient
+
+
 def minimize_constrained(
     A,
     params: FunctionalParams,
     grid: Grid,
     seed: Optional[ComplexField] = None,
     max_iters: int = 4000,
-    stall_tol: float = 1e-6,
     mode: str = "functional",
 ) -> MinimizeResult:
     """Sobolev-preconditioned projected descent for J over the unit L^p sphere.
@@ -393,9 +395,9 @@ def minimize_constrained(
     a Barzilai-Borwein guess (first trial 1e-3) with monotone backtracking,
     capped at half the iterate's norm.  The stop test is on the raw
     (unpreconditioned) projected gradient: its W-norm must fall below
-    ``stall_tol * max(||g||, 1)``.  ``mode='lambda0'`` minimizes the bare
-    magnetic energy over the unit L^2 sphere instead, estimating the bottom of
-    the quadratic form.
+    ``_STALL_TOL * max(||g||, 1)``, a fixed 1e-6.  ``mode='lambda0'``
+    minimizes the bare magnetic energy over the unit L^2 sphere instead,
+    estimating the bottom of the quadratic form.
     """
     if mode not in ("functional", "lambda0"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -449,7 +451,7 @@ def minimize_constrained(
     for it in range(1, max_iters + 1):
         rnorm = np.sqrt(max(ip(raw, raw), 1e-300))
         gnorm = np.sqrt(max(ip(g, g), 1e-300))
-        if rnorm <= stall_tol * max(gnorm, 1.0):
+        if rnorm <= _STALL_TOL * max(gnorm, 1.0):
             converged = True
             break
         dnorm = np.sqrt(max(ip(d, d), 1e-300))
@@ -502,10 +504,10 @@ class ConditionReport:
     trajectory_evidence: Optional[dict]
     holds_Bprime: Optional[bool]
     holds_V: Optional[bool]
-    lambda0_estimate: Optional[float]
-    lambda0_converged: Optional[bool]  # False: the estimate stopped at the iteration cap
+    lambda0_estimate: float
+    lambda0_converged: bool  # False: the estimate stopped at the iteration cap
     moment2: float
-    boundary_mass: Optional[dict]  # of the lambda0 iterate, {"value", "tol"}
+    boundary_mass: dict  # of the lambda0 iterate, {"value", "tol"}
 
 
 def _second_moment(gs: GroundState) -> float:
@@ -524,32 +526,29 @@ def condition_report(
     A: PotentialField,
     gs: GroundState,
     params: FunctionalParams,
-    window=None,
-    grid: Optional[Grid] = None,
-    lambda0: bool = False,
+    grid: Grid,
 ) -> ConditionReport:
-    """Evaluate the smallness and vanishing-at-infinity conditions on B.
+    """Evaluate the smallness and vanishing-at-infinity conditions on B, and lambda0.
 
     sigma = ||B||_inf^2 int |x|^2 w^2 / ||w||_p^p; the field condition holds
     iff (1 + sigma)^{p/(p-2)} < 2, equivalently sigma < 2^{(p-2)/p} - 1, and
     both formulations are evaluated and must agree; rounding can split them at
     the threshold, which raises ``RuntimeError``.  ||B||_inf is sampled at 129
-    points per axis of the window.  Vanishing at infinity is evidenced by the
-    corrected potential along diverging probe trajectories, at distances
+    points per axis of ``grid``'s box.  Vanishing at infinity is evidenced by
+    the corrected potential along diverging probe trajectories, at distances
     R0 + 4k (k = 1..4) along each axis with R0 = 6 decay lengths: each
-    moving-frame sample A_y(. + y) is taken on ``grid``, ``Grid(2.0, 9)``
-    (9 nodes per axis over [-2, 2]^N) when none is given.  The CLI passes
-    its own ``--L``/``--n`` grid, 129^2 over [-8, 8]^2 by default in 2-D.
-    An axis vanishes when its samples converge and the last one stays below
-    ``gauge.VANISHING_TOL`` in sup norm.
+    moving-frame sample A_y(. + y) is taken on ``grid``.  An axis vanishes
+    when its samples converge and the last one stays below
+    ``gauge.VANISHING_TOL`` in sup norm.  lambda0, the bottom of the
+    magnetic quadratic form, is estimated on ``grid`` by
+    ``minimize_constrained(mode='lambda0')`` within 1500 iterations, with the
+    boundary mass of its iterate.
     """
     if gs.p != params.p or gs.lam != params.lam:
         raise ValueError("ground state computed for different (p, lam) than params")
     p = params.p
     M = gs.normp**p
-    if window is None:
-        window = 8.0
-    B = curl(A, window, 129)
+    B = curl(A, tuple((-L, L) for L in grid.extents), 129)
     bsup = b_sup_norm(B)
     sigma, mom2 = _sigma(bsup, gs, p)
     sigma_max = 2.0 ** ((p - 2.0) / p) - 1.0
@@ -562,7 +561,6 @@ def condition_report(
             f"||B||_inf {bsup!r} vs {threshold_B!r}"
         )
 
-    probe_grid = grid if grid is not None else Grid(2.0, 9, dim=A.dim)
     R0 = 6.0 * gs.decay_length
     evidence = {}
     holds_A = True
@@ -570,7 +568,7 @@ def condition_report(
         direction = np.zeros(A.dim)
         direction[axis] = 1.0
         traj = [direction * (R0 + 4.0 * k) for k in range(1, 5)]
-        _, rep = potential_at_infinity(A, traj, probe_grid)
+        _, rep = potential_at_infinity(A, traj, grid)
         vanishes = rep["converged"] and rep["sup_last"] < VANISHING_TOL
         evidence[f"axis_{axis}"] = {
             "distances": rep["distances"],
@@ -592,14 +590,7 @@ def condition_report(
         # V must dominate its own boundary limit lam
         holds_V = bool(np.min(params.V.values) >= params.lam - 1e-12)
 
-    lam0 = None
-    lam0_converged = None
-    bmass = None
-    if lambda0:
-        g = grid if grid is not None else Grid(8.0, 65, dim=A.dim)
-        res = minimize_constrained(A, params, g, mode="lambda0", max_iters=1500)
-        lam0, lam0_converged = res.value, res.converged
-        bmass = {"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL}
+    res = minimize_constrained(A, params, grid, mode="lambda0", max_iters=1500)
 
     return ConditionReport(
         sigma=float(sigma),
@@ -611,10 +602,10 @@ def condition_report(
         trajectory_evidence=evidence,
         holds_Bprime=holds_Bprime,
         holds_V=holds_V,
-        lambda0_estimate=lam0,
-        lambda0_converged=lam0_converged,
+        lambda0_estimate=res.value,
+        lambda0_converged=res.converged,
         moment2=float(mom2),
-        boundary_mass=bmass,
+        boundary_mass={"value": res.u.boundary_mass_fraction(), "tol": BOUNDARY_MASS_TOL},
     )
 
 
@@ -1110,13 +1101,15 @@ def _check_search_limits(tol: float, max_iters: int) -> None:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
 
+_MINRES_ITERS = 200  # MINRES's iteration cap per Newton step
+
+
 def critical_point_search(
     A,
     params: FunctionalParams,
     seed: ComplexField,
     tol: float = 1e-8,
     max_iters: int = 60,
-    inner_iters: int = 200,
     gs: Optional[GroundState] = None,
 ) -> SearchResult:
     """Damped Gauss-Newton descent on the squared Euler-Lagrange residual.
@@ -1130,7 +1123,8 @@ def critical_point_search(
     A is any potential that ``prepare_potential`` takes.
 
     MINRES solves each Newton system to the relative forcing
-    ``min(1e-3, max(sqrt(||r||), 1e-6))``.  A looser cap of 0.1 cut the
+    ``min(1e-3, max(sqrt(||r||), 1e-6))``, within ``_MINRES_ITERS`` (200)
+    iterations.  A looser cap of 0.1 cut the
     residual only about 2.5x per step on the README ``solve`` case (12
     Newton steps, 77 matvecs, against 4 and 56 at 1e-3).  MINRES works on
     the float view of the complex array sqrt(W) z (C^n as R^2n: Re and Im
@@ -1205,7 +1199,7 @@ def critical_point_search(
         # the slope of 1/2 ||r||^2 along -d is -<Jr, J^{-1}r> = -||r||^2, so
         # the (inexactly solved) Newton step is a genuine descent direction
         forcing = min(1e-3, max(np.sqrt(r_norm), 1e-6))
-        x, info = minres(operator(scaled), vector(r_vals * sqw), rtol=forcing, maxiter=inner_iters, M=Mop)
+        x, info = minres(operator(scaled), vector(r_vals * sqw), rtol=forcing, maxiter=_MINRES_ITERS, M=Mop)
         d = nodes(x) / sqw
         grad = apply(r_vals)  # gradient of 1/2 ||r||_W^2 in the W-metric
         slope = float(np.sum(W * np.real(np.conj(grad) * d)))

@@ -66,7 +66,7 @@ def test_criterion_01_gauge_closed_form():
     phase = rephase_field(A, y, GRID2)
     X = GRID2.nodes()
     phi_err = float(np.max(np.abs(phase.samples.values - (-1.0 * (X[..., 1] - 2.0)))))
-    cp = corrected_potential(A, phase, GRID2)
+    cp = corrected_potential(A, phase)
     ay_err = float(
         max(np.max(np.abs(cp.samples[0])), np.max(np.abs(cp.samples[1] - (X[..., 0] - 1.0))))
     )
@@ -96,7 +96,7 @@ def test_criterion_02_gauge_identities():
                 axes = [np.array([yv[m]]) for m in range(n - 1)] + [GRID2.axes[m] for m in range(n - 1, 2)]
                 slab = corrected_potential_samples(A, yv, axes)
                 slab_err = max(slab_err, float(np.max(np.abs(slab[n - 1]))))
-            cp = corrected_potential(A, rephase_field(A, yv, GRID2), GRID2)
+            cp = corrected_potential(A, rephase_field(A, yv, GRID2))
             rep = linear_bound_check(cp, B)
             violations += rep["violating_nodes"]
 
@@ -105,7 +105,7 @@ def test_criterion_02_gauge_identities():
     errs = []
     for n in (65, 129):
         grid = Grid(4.0, n, dim=2)
-        cp = corrected_potential(A, rephase_field(A, (0.5, 0.25), grid), grid)
+        cp = corrected_potential(A, rephase_field(A, (0.5, 0.25), grid))
         sampled = curl_of_samples(cp.samples, grid.h)
         jac = A.jacobian(grid.nodes())
         exact = jac[..., 0, 1] - jac[..., 1, 0]
@@ -329,10 +329,11 @@ def test_criterion_11_profile_extraction():
         for k in range(4, 8):
             traj_ok &= bool(np.max(np.abs(np.asarray(term.trajectory[k]) - traj_true[k])) <= xi.rho)
 
-    spread_spec = SyntheticSpec(profiles=[], spreading_amplitude=1.0, spreading_width=1.0)
+    zero = field_library("zero")
+    spread_spec = SyntheticSpec(profiles=[], field=zero, spreading_amplitude=1.0, spreading_width=1.0)
     sgrid = Grid(12.0, 193, dim=2)
     sseq, _ = synthesize_sequence(spread_spec, sgrid, K=8)
-    sdec = extract_profiles(sseq, None, Discretization.cubic(sgrid, rho=1.0),
+    sdec = extract_profiles(sseq, zero, Discretization.cubic(sgrid, rho=1.0),
                             ExtractOpts(eps_mass=5e-3, tail_window=3, window_radius=6.0))
     spreading_terms = sum(1 for t in sdec.terms if t.index > 0)
 

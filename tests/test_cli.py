@@ -129,6 +129,33 @@ def test_conditions_subcommand(tmp_path):
     assert doc["lambda0_converged"] is True
 
 
+def test_conditions_library_matches_cli(tmp_path):
+    # README conditions case: the library's report on the CLI's default grid
+    # is the report the CLI writes, field for field
+    from dataclasses import asdict
+
+    from magnls.calculus import FunctionalParams, default_grid
+    from magnls.field import parse_field_spec
+
+    out = tmp_path / "c"
+    assert run([
+        "conditions", "--field", "gauss:b0=0.3,s=1", "--dim", "2", "--p", "4", "--lambda", "1",
+        "--out", str(out),
+    ]) == 0
+    doc = read_json(out / "conditions.json")
+    grid = default_grid(2)
+    rep = solver.condition_report(
+        parse_field_spec("gauss:b0=0.3,s=1", dim=2),
+        solver.radial_ground_state(2, 4.0, 1.0),
+        FunctionalParams(p=4.0, lam=1.0, dim=2),
+        grid,
+    )
+    lib = json.loads(json.dumps(asdict(rep)))
+    assert set(doc) == set(lib) | {"tolerances"}
+    for key, value in lib.items():
+        assert doc[key] == value, key
+
+
 def test_landscape_subcommand(tmp_path):
     out = tmp_path / "l"
     code = run([
@@ -567,6 +594,9 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         ("noise", {"amplitude": float("inf")}),
         ("extract", {"rho": float("inf")}),
         ("extract", {"rho": 0}),
+        ("extract", {"agree_tol": float("nan")}),
+        ("extract", {"agree_tol": -1}),
+        ("extract", {"agree_tol": 1e400}),
     ],
     ids=[
         "scalar-L", "noise-number", "extract-typo", "trajectory-number", "field-number", "tail-window-0",
@@ -575,6 +605,7 @@ def test_v_spec_unknown_key_exits_1(tmp_path, capsys, spec):
         "K-below-two-tail-windows", "tail-window-above-half-K", "width-negative", "width-0", "width-inf",
         "center-short", "wave-short", "trajectory-short", "center-long", "phase-inf", "wave-inf",
         "amplitude-inf", "spreading-width-0", "noise-amplitude-inf", "rho-inf", "rho-0",
+        "agree-tol-nan", "agree-tol-negative", "agree-tol-1e400",
     ],
 )
 def test_malformed_profiles_spec_exits_1(tmp_path, capsys, monkeypatch, section, value):

@@ -180,7 +180,7 @@ def test_corrected_potential_landau_closed_form():
     X = GRID.nodes()
     # the jacobian-stripped copy of A takes the phase-gradient path
     for field, construction in ((A, "direct_formula"), (PotentialField(A.dim, A.eval_fn), "grad_of_phase")):
-        cp = corrected_potential(field, ph, GRID)
+        cp = corrected_potential(field, ph)
         assert cp.construction == construction
         assert np.max(np.abs(cp.samples[0])) <= 1e-8
         assert np.max(np.abs(cp.samples[1] - 0.6 * (X[..., 0] - 1.0))) <= 1e-8
@@ -196,7 +196,7 @@ def test_corrected_vanishes_at_base_point():
 def test_corrected_zero_field_stays_zero():
     A = field_library("zero")
     ph = phase_on(A, (2.0, -1.0))
-    cp = corrected_potential(A, ph, GRID)
+    cp = corrected_potential(A, ph)
     assert np.max(np.abs(cp.samples)) <= 1e-14
 
 
@@ -204,8 +204,8 @@ def test_corrected_constructions_agree():
     A = field_library("gaussian_decay", b0=0.5, s=1.0)
     grid = Grid(4.0, 129, dim=2)
     ph = rephase_field(A, (0.5, 1.0), grid)
-    direct = corrected_potential(A, ph, grid)
-    grad = corrected_potential(PotentialField(A.dim, A.eval_fn), ph, grid)
+    direct = corrected_potential(A, ph)
+    grad = corrected_potential(PotentialField(A.dim, A.eval_fn), ph)
     assert (direct.construction, grad.construction) == ("direct_formula", "grad_of_phase")
     h2 = grid.h[0] ** 2
     assert np.max(np.abs(direct.samples - grad.samples)) <= 5.0 * h2
@@ -241,7 +241,7 @@ def test_slab_vanishing_gaussian():
     A = field_library("gaussian_decay", b0=0.5, s=1.0)
     y = np.array([0.5, -0.75])
     grid = Grid(4.0, 65, dim=2)
-    cp = corrected_potential(A, rephase_field(A, y, grid), grid)
+    cp = corrected_potential(A, rephase_field(A, y, grid))
     assert np.max(np.abs(cp.samples[0])) <= 1e-8
     slab = corrected_potential_samples(A, y, [np.array([y[0]]), grid.axes[1]])
     assert np.max(np.abs(slab[1])) <= 1e-8
@@ -254,7 +254,7 @@ def test_gauge_invariance_of_curl():
     errs = []
     for n in (65, 129):
         grid = Grid(4.0, n, dim=2)
-        cp = corrected_potential(A, rephase_field(A, y, grid), grid)
+        cp = corrected_potential(A, rephase_field(A, y, grid))
         sampled = curl_of_samples(cp.samples, grid.h)
         jac = A.jacobian(grid.nodes())
         exact = jac[..., 0, 1] - jac[..., 1, 0]
@@ -286,7 +286,7 @@ def test_linear_bound_zero_violations(tag, kw):
     A = field_library(tag, **kw)
     B = curl(A, 8.0, 129)
     for y in [(0.0, 0.0), (1.0, 2.0), (-2.0, 0.5), (0.25, -0.25), (-1.5, -1.5)]:
-        cp = corrected_potential(A, rephase_field(A, y, GRID), GRID)
+        cp = corrected_potential(A, rephase_field(A, y, GRID))
         rep = linear_bound_check(cp, B)
         assert rep["violating_nodes"] == 0
         assert rep["max_violation"] <= 1e-8

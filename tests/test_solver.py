@@ -8,6 +8,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 from magnls.calculus import (
+    BOUNDARY_MASS_TOL,
     ComplexField,
     FunctionalParams,
     Grid,
@@ -40,6 +41,8 @@ from magnls.solver import (
 
 PARAMS2 = FunctionalParams(p=4.0, lam=1.0, dim=2)
 PARAMS3 = FunctionalParams(p=4.0, lam=1.0, dim=3)
+# condition reports sample B, the moving frames and lambda0 on this small grid
+PROBE2 = Grid(2.0, 9, dim=2)
 
 
 # ---------------------------------------------------------------------------
@@ -344,9 +347,7 @@ def test_minimize_nonattainment_drift(nonattainment_runs):
 def test_lambda0_mode_landau():
     # bottom of the magnetic quadratic form for the constant field is near |b|
     grid = Grid(8.0, 65, dim=2)
-    res = minimize_constrained(
-        field_library("landau", b=0.2), PARAMS2, grid, mode="lambda0", max_iters=4000, stall_tol=1e-7
-    )
+    res = minimize_constrained(field_library("landau", b=0.2), PARAMS2, grid, mode="lambda0", max_iters=4000)
     assert 0.05 < res.value < 0.4
 
 
@@ -355,16 +356,19 @@ def test_lambda0_mode_landau():
 # ---------------------------------------------------------------------------
 
 def test_condition_report_zero_field(gs2):
-    rep = condition_report(field_library("zero"), gs2, PARAMS2)
+    rep = condition_report(field_library("zero"), gs2, PARAMS2, PROBE2)
     assert rep.sigma == 0.0
     assert rep.holds_B
     assert rep.holds_A
-    assert rep.boundary_mass is None  # no lambda0 iterate to measure
+    # the lambda0 iterate on the 9-node grid keeps a measurable boundary share
+    assert rep.lambda0_converged
+    assert 0.0 < rep.boundary_mass["value"] < 0.1
+    assert rep.boundary_mass["tol"] == BOUNDARY_MASS_TOL
 
 
 def test_condition_sigma_formula_landau(gs2):
     b = 0.3
-    rep = condition_report(field_library("landau", b=b), gs2, PARAMS2)
+    rep = condition_report(field_library("landau", b=b), gs2, PARAMS2, PROBE2)
     from magnls.solver import _second_moment
 
     expected = b**2 * _second_moment(gs2) / gs2.normp**4
@@ -379,13 +383,13 @@ def test_condition_largest_passing_b(gs2):
     from magnls.solver import _second_moment
 
     bmax = float(np.sqrt((np.sqrt(2.0) - 1.0) * gs2.normp**4 / _second_moment(gs2)))
-    just_below = condition_report(field_library("landau", b=0.999 * bmax), gs2, PARAMS2)
-    just_above = condition_report(field_library("landau", b=1.001 * bmax), gs2, PARAMS2)
+    just_below = condition_report(field_library("landau", b=0.999 * bmax), gs2, PARAMS2, PROBE2)
+    just_above = condition_report(field_library("landau", b=1.001 * bmax), gs2, PARAMS2, PROBE2)
     assert just_below.holds_B and not just_above.holds_B
 
 
 def test_condition_gaussian_field_vanishes(gs2):
-    rep = condition_report(field_library("gaussian_decay", b0=0.4, s=1.0), gs2, PARAMS2)
+    rep = condition_report(field_library("gaussian_decay", b0=0.4, s=1.0), gs2, PARAMS2, PROBE2)
     assert rep.holds_A
 
 
@@ -396,13 +400,13 @@ def test_condition_Bprime_and_V(gs2):
     r2 = np.sum(grid.nodes() ** 2, axis=-1)
     V = RealField(grid, 1.0 + 0.05 * np.exp(-r2))
     params = FunctionalParams(p=4.0, lam=1.0, V=V)
-    rep = condition_report(field_library("gaussian_decay", b0=0.2, s=1.0), gs2, params)
+    rep = condition_report(field_library("gaussian_decay", b0=0.2, s=1.0), gs2, params, PROBE2)
     assert rep.holds_V
     assert rep.holds_Bprime
     # a potential dipping below its limit violates (V)
     V2 = RealField(grid, 1.0 - 0.05 * np.exp(-r2))
     rep2 = condition_report(
-        field_library("gaussian_decay", b0=0.2, s=1.0), gs2, FunctionalParams(p=4.0, lam=1.0, V=V2)
+        field_library("gaussian_decay", b0=0.2, s=1.0), gs2, FunctionalParams(p=4.0, lam=1.0, V=V2), PROBE2
     )
     assert not rep2.holds_V
 
@@ -430,7 +434,7 @@ def test_condition_disagreement_is_a_numerical_failure(gs2, monkeypatch, tmp_pat
     assert split
     monkeypatch.setattr(solver, "b_sup_norm", lambda B: split[0])
     with pytest.raises(RuntimeError, match="disagree"):
-        condition_report(field_library("zero"), gs, PARAMS2)
+        condition_report(field_library("zero"), gs, PARAMS2, PROBE2)
 
     monkeypatch.setattr(cli, "radial_ground_state", lambda *args, **kwargs: gs)
     out = tmp_path / "c"
@@ -446,7 +450,7 @@ def test_condition_disagreement_is_a_numerical_failure(gs2, monkeypatch, tmp_pat
 
 def test_condition_report_mismatched_params(gs2):
     with pytest.raises(ValueError, match="different"):
-        condition_report(field_library("zero"), gs2, FunctionalParams(p=3.0, lam=1.0, dim=2))
+        condition_report(field_library("zero"), gs2, FunctionalParams(p=3.0, lam=1.0, dim=2), PROBE2)
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +617,12 @@ def test_search_prepared_potential_matches_field(gs2):
     assert np.array_equal(prep.u.values, res.u.values)
 
 
-def test_search_reports_stall_without_exception():
+def test_search_reports_stall_without_exception(monkeypatch):
     # a deliberately hopeless budget must report, not raise
+    monkeypatch.setattr(solver, "_MINRES_ITERS", 1)
     grid = Grid(8.0, 65, dim=2)
     seed = bump(grid, width=1.0, amplitude=3.0)
-    res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-14, max_iters=2, inner_iters=1)
+    res = critical_point_search(field_library("landau", b=0.5), PARAMS2, seed, tol=1e-14, max_iters=2)
     assert not res.converged
     assert len(res.trace) >= 1
     # MINRES hits its one-step cap at every Newton step, and the result says so
